@@ -118,6 +118,25 @@ class DqnAgent:
             scores = scores + bonus
         return int(np.argmax(scores))
 
+    def select_actions(self, states: np.ndarray, rngs, bonus: np.ndarray | None = None) -> np.ndarray:
+        """``select_action`` for every row of ``states`` with one Q forward.
+
+        Row i makes exactly the epsilon draws ``select_action`` makes, on its
+        own stream ``rngs[i]``, and ``bonus`` (when given) is shaped like the
+        Q-values. Ties break to the lowest index.
+        """
+        scores = self.q_values_batch(states)
+        if bonus is not None:
+            if bonus.shape != scores.shape:
+                raise ShapeError(f"bonus must have shape {scores.shape}, got {bonus.shape}")
+            scores = scores + bonus
+        actions = scores.argmax(axis=1)
+        if self.epsilon > 0.0:
+            for i, rng in enumerate(rngs):
+                if rng.random() < self.epsilon:
+                    actions[i] = rng.integers(self.n_actions)
+        return actions
+
     # ---- learning -------------------------------------------------------------
 
     def batch_targets(self, exps: list[Experience]):

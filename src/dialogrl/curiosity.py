@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .agent import BATCH_SIZE, ReplayBuffer
-from .errors import FormatError
+from .errors import FormatError, ShapeError
 from .nets import HeadSpec, LayerSpec, MlpModel, MlpSpec, TrainBatch, mlp_new
 from .world import encode_inputs
 
@@ -48,8 +48,25 @@ class CuriosityModel:
         self.learning_rate = learning_rate
         self.net = mlp_new(curiosity_spec(state_dim, n_agent_actions, hidden), seed=seed)
 
+    def values(self, states) -> np.ndarray:
+        """Curiosity value of every action in each state, clamped at zero.
+
+        ``states`` is one encoded state or a batch of them; the result is
+        shaped (n, n_actions). Only the trunk and the value head run. The
+        first layer is factored as ``s @ W1[:d] + b1 + W1[d + a]``, so the
+        one-hot (state, action) inputs are never built.
+        """
+        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        n, d = states.shape[0], self.state_dim
+        if states.shape != (n, d):
+            raise ShapeError(f"expected states of width {d}, got {states.shape}")
+        w1, b1 = self.net.shared_params[0]
+        z1 = (states @ w1[:d] + b1)[:, None, :] + w1[d:]  # (n, n_actions, hidden)
+        value = self.net.forward_head(z1.reshape(n * self.n_agent_actions, -1), "value")
+        return np.maximum(value.reshape(n, self.n_agent_actions), 0.0)
+
     def scores(self, s) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluate every candidate action in one pass.
+        """Evaluate every candidate action for one state.
 
         Returns (values clamped at zero, predicted next states), shaped
         (n_actions,) and (n_actions, state_dim).
@@ -57,9 +74,7 @@ class CuriosityModel:
         s = np.asarray(s, dtype=np.float64)
         tiled = np.tile(s, (self.n_agent_actions, 1))
         x = encode_inputs(tiled, np.arange(self.n_agent_actions), self.n_agent_actions)
-        out = self.net.forward(x)
-        values = np.maximum(out["value"][:, 0], 0.0)
-        return values, out["next_state"]
+        return self.values(s)[0], self.net.forward(x)["next_state"]
 
     def prediction_error(self, s, a, s_next) -> float:
         """Squared distance between the true and predicted next encodings."""

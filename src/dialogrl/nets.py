@@ -209,6 +209,18 @@ class MlpModel:
             out[head.name] = y
         return out
 
+    def forward_head(self, z1, head: str) -> np.ndarray:
+        """One head's output from the first shared layer's pre-activations.
+
+        For callers that compute the first layer's affine map themselves
+        (``CuriosityModel.values`` factors it per action); needs a trunk.
+        """
+        trunk = _apply_activation(np.asarray(z1, dtype=np.float64), self.spec.shared[0].activation)
+        trunk, _ = self._run_stack(trunk, self.spec.shared[1:], self.shared_params[1:])
+        layers = next(h.layers for h in self.spec.heads if h.name == head)
+        y, _ = self._run_stack(trunk, layers, self.head_params[head])
+        return y
+
     @staticmethod
     def _run_stack(x, layers, params):
         acts = [x]

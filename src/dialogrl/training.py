@@ -106,8 +106,12 @@ class RunConfig:
             raise ConfigError("epochs: need at least 4 for the four stages")
         if self.planning_rounds < 0:
             raise ConfigError("planning_rounds: must be >= 0")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigError("epsilon: must be in [0, 1]")
+        if self.planning_dialogs_per_round is not None and self.planning_dialogs_per_round < 1:
+            raise ConfigError("planning_dialogs_per_round: must be >= 1, or null for "
+                              "real_dialogs_per_epoch")
+        for name in ("epsilon", "eval_epsilon"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name}: must be in [0, 1]")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate: must be positive")
         return self
@@ -297,7 +301,7 @@ class Trainer:
     # ---- one epoch ----------------------------------------------------------
 
     def _select(self, s, rng) -> int:
-        bonus = self.curiosity.scores(s)[0] if self.curiosity is not None else None
+        bonus = self.curiosity.values(s)[0] if self.curiosity is not None else None
         return self.agent.select_action(s, rng, bonus=bonus)
 
     def run_epoch(self, epoch: int) -> EpochReport:
@@ -342,7 +346,8 @@ class Trainer:
             ops.append("world")
             world_loss = self.world_model.train(self.real_buffer, n_batches, self.rngs["world"])
             ops.append("plan")
-            dialogs = cfg.planning_dialogs_per_round or cfg.real_dialogs_per_epoch
+            dialogs = (cfg.real_dialogs_per_epoch if cfg.planning_dialogs_per_round is None
+                       else cfg.planning_dialogs_per_round)
             new_sim = plan(
                 self.agent, self.curiosity, self.world_model,
                 lambda rng: sample_goal(self.buffers, level, rng),
@@ -361,8 +366,9 @@ class Trainer:
             curiosity_loss = self.curiosity.train(
                 self.real_buffer, self.sim_buffer, cur_batches, self.rngs["curiosity"]
             )
-            mean_c = float(np.mean(self.curiosity.scores(encode_state(self.env.state))[0]))
-            log.debug("epoch %d: mean curiosity %.4f", epoch, mean_c)
+            if log.isEnabledFor(logging.DEBUG):
+                mean_c = float(np.mean(self.curiosity.values(encode_state(self.env.state))))
+                log.debug("epoch %d: mean curiosity %.4f", epoch, mean_c)
 
         ops.append("sync")
         self.agent.sync_target()
@@ -395,7 +401,7 @@ class Trainer:
         rng = spawn_rng(cfg.seed, "eval", checkpoint_epoch)
         if cfg.eval_with_curiosity and self.curiosity is not None:
             select = lambda s, r: self.agent.select_action(
-                s, r, bonus=self.curiosity.scores(s)[0], epsilon=cfg.eval_epsilon)
+                s, r, bonus=self.curiosity.values(s)[0], epsilon=cfg.eval_epsilon)
         else:
             select = lambda s, r: self.agent.select_action(s, r, epsilon=cfg.eval_epsilon)
         report = evaluate_policy(select, self.kb, self.roster, goals, cfg.eval_episodes,

@@ -4,6 +4,15 @@ The model maps (encoded state, one-hot agent action) to a distribution over
 user action templates, a scalar reward, and a termination probability.
 Planning replays the real dialog tracker but takes the user's move, the
 reward, and the episode end from the model instead of the simulator.
+
+The rollouts of one planning round advance in lockstep: each turn runs one
+batched forward of the Q-net, the curiosity value head and the world model
+over the rollouts still running, while the tracker updates stay per dialog.
+Each rollout draws its goal, its first user act and its epsilon-greedy
+choices from its own rng stream, seeded from draws on the planning rng, so
+one rollout's draws do not depend on when the others end. Experiences are
+appended turn by turn, in rollout order, and a rollout's next-state row is
+the very array its next experience stores as its state.
 """
 
 from __future__ import annotations
@@ -65,12 +74,14 @@ class WorldModel:
         self.learning_rate = learning_rate
         self.net = mlp_new(world_model_spec(state_dim, n_agent_actions, n_user_actions, hidden), seed=seed)
 
-    def predict(self, s, a: int):
-        """(user action distribution, reward, termination probability)."""
-        x = encode_inputs(s, [a], self.n_agent_actions)
-        out = self.net.forward(x)
-        probs = out["user_action"][0]
-        return probs, float(out["reward"][0, 0]), float(out["termination"][0, 0])
+    def predict(self, states, actions):
+        """(user action distributions, rewards, termination probabilities).
+
+        One row per (state, action) pair, shaped (n, n_user_actions), (n,)
+        and (n,).
+        """
+        out = self.net.forward(encode_inputs(states, actions, self.n_agent_actions))
+        return out["user_action"], out["reward"][:, 0], out["termination"][:, 0]
 
     def train(self, real_buffer: ReplayBuffer, n_batches: int, rng: np.random.Generator) -> float | None:
         """Joint CE + MSE + BCE step per minibatch, real experiences only."""
@@ -115,24 +126,41 @@ def plan(agent: DqnAgent, curiosity, world_model: WorldModel, goal_sampler,
     """
     if sim_buffer.kind != "simulated":
         raise ContractViolation("planning writes to the simulated buffer only")
+    if dialogs_per_round < 1:
+        raise ContractViolation(f"planning needs at least one dialog per round, got {dialogs_per_round}")
     rewards = rewards if rewards is not None else RewardConfig()
     stored = 0
     for _ in range(rounds):
-        for _ in range(dialogs_per_round):
-            goal = goal_sampler(rng)
-            env = DialogEnv(kb, roster, rewards, rng=rng)
-            state, _ = env.reset(goal)
-            done = False
-            while not done:
-                s = encode_state(state)
-                bonus = curiosity.scores(s)[0] if curiosity is not None else None
-                a = agent.select_action(s, rng, bonus=bonus)
-                env.apply_agent_act(env.realize_agent_action(a))
-                probs, reward, p_done = world_model.predict(s, a)
-                user_idx = int(np.argmax(probs))
-                env.apply_simulated_user_act(roster.user_actions[user_idx])
-                s_next = encode_state(state)
-                done = p_done > TERMINATION_THRESHOLD or state.turn >= rewards.max_turns
-                sim_buffer.append(Experience(s, a, reward, user_idx, s_next, done))
-                stored += 1
+        rngs = [np.random.default_rng(int(seed))
+                for seed in rng.integers(1 << 63, size=dialogs_per_round)]
+        envs = []
+        for r in rngs:
+            env = DialogEnv(kb, roster, rewards, rng=r)
+            env.reset(goal_sampler(r))
+            envs.append(env)
+        s = np.stack([encode_state(env.state) for env in envs])
+        rows = list(s)  # each live rollout's current state, as stored in its experiences
+        while envs:
+            bonus = curiosity.values(s) if curiosity is not None else None
+            actions = agent.select_actions(s, rngs, bonus)
+            for env, a in zip(envs, actions):
+                env.apply_agent_act(env.realize_agent_action(int(a)))
+            probs, reward, p_done = world_model.predict(s, actions)
+            user_idx = probs.argmax(axis=1)
+            s_next = np.empty_like(s)
+            next_rows = list(s_next)
+            alive = []
+            for i, env in enumerate(envs):
+                env.apply_simulated_user_act(roster.user_actions[int(user_idx[i])])
+                s_next[i] = encode_state(env.state)
+                done = bool(p_done[i] > TERMINATION_THRESHOLD or env.state.turn >= rewards.max_turns)
+                sim_buffer.append(Experience(rows[i], int(actions[i]), float(reward[i]),
+                                             int(user_idx[i]), next_rows[i], done))
+                if not done:
+                    alive.append(i)
+            stored += len(envs)
+            envs = [envs[i] for i in alive]
+            rngs = [rngs[i] for i in alive]
+            rows = [next_rows[i] for i in alive]
+            s = s_next if len(alive) == len(actions) else s_next[alive]
     return stored

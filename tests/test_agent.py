@@ -132,6 +132,32 @@ def test_eq1_argmax_matches_brute_force():
         assert got == best
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("tied", [False, True])
+def test_select_actions_rows_match_select_action(epsilon, tied):
+    agent = DqnAgent(seed=6, epsilon=epsilon)
+    if tied:  # every Q-value equal: ties break to the lowest index
+        agent.q_net.set_parameter_vector(np.zeros(agent.q_net.n_parameters()))
+    states = (np.random.default_rng(8).random((40, 129)) > 0.5).astype(float)
+    for bonus in (None, np.random.default_rng(9).random((40, 29))):
+        batch_rngs = [np.random.default_rng([21, i]) for i in range(40)]
+        row_rngs = [np.random.default_rng([21, i]) for i in range(40)]
+        for _ in range(3):  # repeated turns keep each row on its own stream
+            got = agent.select_actions(states, batch_rngs, bonus)
+            want = [agent.select_action(states[i], row_rngs[i],
+                                        bonus=None if bonus is None else bonus[i])
+                    for i in range(40)]
+            assert got.tolist() == want
+            if tied and epsilon == 0.0 and bonus is None:
+                assert want == [0] * 40
+
+
+def test_select_actions_bonus_shape_checked():
+    agent = DqnAgent(seed=0)
+    with pytest.raises(ShapeError):
+        agent.select_actions(np.zeros((2, 129)), [np.random.default_rng(0)] * 2, np.zeros(29))
+
+
 def test_replay_buffer_fifo_eviction():
     buf = ReplayBuffer(capacity=5000)
     rng = np.random.default_rng(0)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from dialogrl.cli import expand_matrix, main
 
 
@@ -93,6 +95,21 @@ def test_train_invalid_gating_exit_2(tmp_path, capsys):
     config = tiny_train_config(tmp_path, kb_path, goals_path, schedule="RANDOM")
     rc = main(["train", "--config", str(config)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("planning_dialogs_per_round", 0),
+    ("planning_dialogs_per_round", -1),
+    ("eval_epsilon", -0.5),
+    ("eval_epsilon", 2.0),
+])
+def test_train_out_of_range_exit_2(tmp_path, capsys, field, value):
+    kb_path, goals_path = make_data(tmp_path)
+    config = tiny_train_config(tmp_path, kb_path, goals_path, **{field: value})
+    rc = main(["train", "--config", str(config)])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_eval_subcommand(tmp_path, capsys):

@@ -4,6 +4,8 @@ import pytest
 from dialogrl.agent import Experience, ReplayBuffer
 from dialogrl.curiosity import CuriosityModel
 from dialogrl.env import encode_state, DialogState
+from dialogrl.errors import ShapeError
+from dialogrl.world import encode_inputs
 
 STATE, ACTIONS = 10, 4
 
@@ -40,6 +42,35 @@ def test_scores_pure():
     a = cm.scores(s)
     b = cm.scores(s)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def test_values_match_scores_row_by_row():
+    cm = tiny_cm(seed=9)
+    rng = np.random.default_rng(4)
+    # Random weights of a useful size, so most values are positive and unequal.
+    cm.net.set_parameter_vector(rng.normal(scale=0.5, size=cm.net.n_parameters()))
+    for n in (1, 7):
+        states = np.stack([rand_state(rng) for _ in range(n)])
+        v = cm.values(states)
+        assert v.shape == (n, ACTIONS)
+        for i in range(n):
+            # reference: the whole net on the one-hot (state, action) inputs
+            x = encode_inputs(np.tile(states[i], (ACTIONS, 1)), np.arange(ACTIONS), ACTIONS)
+            full = np.maximum(cm.net.forward(x)["value"][:, 0], 0.0)
+            assert np.allclose(v[i], full, rtol=0.0, atol=1e-12)
+            assert np.allclose(v[i], cm.scores(states[i])[0], rtol=0.0, atol=1e-12)
+    assert (v > 0).any() and (v >= 0).all()
+
+
+def test_values_of_one_state_is_a_batch_of_one():
+    cm = tiny_cm(seed=1)
+    s = rand_state(np.random.default_rng(0))
+    assert np.array_equal(cm.values(s), cm.values(s[None, :]))
+
+
+def test_values_rejects_wrong_width():
+    with pytest.raises(ShapeError):
+        tiny_cm().values(np.zeros((2, STATE + 1)))
 
 
 def test_prediction_error_degenerate_cases():

@@ -55,6 +55,62 @@ def test_config_gating_rules():
     RunConfig(method="S-DDQ", schedule="DME").validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("planning_dialogs_per_round", 0),
+    ("planning_dialogs_per_round", -1),
+    ("eval_epsilon", -0.1),
+    ("eval_epsilon", 1.5),
+])
+def test_config_rejects_out_of_range(field, value):
+    with pytest.raises(ConfigError, match=field):
+        tiny_config(**{field: value}).validate()
+
+
+def test_config_accepts_range_edges():
+    for overrides in ({"planning_dialogs_per_round": None}, {"planning_dialogs_per_round": 1},
+                      {"eval_epsilon": 0.0}, {"eval_epsilon": 1.0}):
+        tiny_config(**overrides).validate()
+
+
+@pytest.mark.parametrize("per_round, expected", [(None, 4), (1, 1)])
+def test_planning_dialogs_default_to_real_dialogs(data, monkeypatch, per_round, expected):
+    import dialogrl.training as training
+
+    seen = []
+    real_plan = training.plan
+
+    def spy(*args, **kwargs):
+        seen.append(args[5])
+        return real_plan(*args, **kwargs)
+
+    monkeypatch.setattr(training, "plan", spy)
+    tr = Trainer(tiny_config(planning_dialogs_per_round=per_round), *data)
+    tr.warm_start()
+    tr.run_epoch(0)
+    assert seen == [expected]
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_curiosity_debug_line_costs_nothing_when_off(data, monkeypatch, caplog, debug):
+    import logging
+
+    import dialogrl.training as training
+    from dialogrl.curiosity import CuriosityModel
+
+    calls = []
+    real_values = CuriosityModel.values
+    monkeypatch.setattr(CuriosityModel, "values",
+                        lambda self, s: calls.append(1) or real_values(self, s))
+    monkeypatch.setattr(training, "plan", lambda *args, **kwargs: 0)
+    caplog.set_level(logging.DEBUG if debug else logging.INFO, logger="dialogrl.training")
+    tr = Trainer(tiny_config(), *data)
+    tr.warm_start()
+    rep = tr.run_epoch(0)
+    # one bonus per real step, plus the debug line's pass only when it is logged
+    assert len(calls) == int(rep.action_counts.sum()) + int(debug)
+    assert ("mean curiosity" in caplog.text) == debug
+
+
 def test_config_json_roundtrip(tmp_path):
     cfg = tiny_config()
     path = tmp_path / "config.json"

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from dialogrl.agent import DqnAgent, Experience, ReplayBuffer
+from dialogrl.curiosity import CuriosityModel
 from dialogrl.curriculum import build_buffers, sample_goal
 from dialogrl.domain import default_roster, generate_goal_set, generate_kb
-from dialogrl.env import RewardConfig
+from dialogrl.env import MAX_TURN_BUCKETS, STATE_DIM, RewardConfig
 from dialogrl.errors import ContractViolation
 from dialogrl.world import WorldModel, encode_inputs, plan
 
@@ -23,20 +24,33 @@ def rand_state(rng):
 def test_predict_distribution_sums_to_one():
     wm = tiny_wm()
     rng = np.random.default_rng(0)
-    for _ in range(5):
-        probs, reward, p_done = wm.predict(rand_state(rng), int(rng.integers(ACTIONS)))
-        assert probs.shape == (USER,)
-        assert abs(probs.sum() - 1.0) <= 1e-6
-        assert np.isfinite(reward)
-        assert 0.0 < p_done < 1.0
+    states = np.stack([rand_state(rng) for _ in range(5)])
+    probs, reward, p_done = wm.predict(states, rng.integers(ACTIONS, size=5))
+    assert probs.shape == (5, USER) and reward.shape == (5,) and p_done.shape == (5,)
+    for i in range(5):
+        assert abs(probs[i].sum() - 1.0) <= 1e-6
+        assert np.isfinite(reward[i])
+        assert 0.0 < p_done[i] < 1.0
 
 
 def test_predict_is_pure():
     wm = tiny_wm()
-    s = np.ones(STATE)
-    a = wm.predict(s, 2)
-    b = wm.predict(s, 2)
-    assert np.array_equal(a[0], b[0]) and a[1:] == b[1:]
+    s = np.ones((1, STATE))
+    a = wm.predict(s, [2])
+    b = wm.predict(s, [2])
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_predict_batch_rows_match_single_rows():
+    wm = tiny_wm(seed=4)
+    rng = np.random.default_rng(2)
+    states = np.stack([rand_state(rng) for _ in range(6)])
+    actions = rng.integers(ACTIONS, size=6)
+    batch = wm.predict(states, actions)
+    for i in range(6):
+        single = wm.predict(states[i:i + 1], actions[i:i + 1])
+        for got, want in zip(batch, single):
+            assert np.allclose(got[i], want[0], rtol=0.0, atol=1e-12)
 
 
 def test_world_model_rejects_sim_buffer():
@@ -72,10 +86,9 @@ def test_world_model_memorizes_small_corpus():
     train_rng = np.random.default_rng(0)
     losses = [wm.train(buf, n_batches=10, rng=train_rng) for _ in range(50)]
     assert all(np.isfinite(l) for l in losses)
-    hits = 0
-    for e in buf.snapshot():
-        probs, _, _ = wm.predict(e.s, e.a)
-        hits += int(np.argmax(probs) == e.a_user)
+    exps = buf.snapshot()
+    probs, _, _ = wm.predict(np.stack([e.s for e in exps]), [e.a for e in exps])
+    hits = int((probs.argmax(axis=1) == [e.a_user for e in exps]).sum())
     assert hits / len(buf) >= 0.9
 
 
@@ -89,7 +102,8 @@ def test_reward_head_learns_a_constant():
     train_rng = np.random.default_rng(1)
     for _ in range(60):
         wm.train(buf, n_batches=5, rng=train_rng)
-    preds = [wm.predict(e.s, e.a)[1] for e in buf.snapshot()]
+    exps = buf.snapshot()
+    preds = wm.predict(np.stack([e.s for e in exps]), [e.a for e in exps])[1]
     assert max(abs(p - 3.25) for p in preds) <= 0.1
 
 
@@ -147,6 +161,14 @@ def test_plan_refuses_real_buffer(planning_setup):
              rng=np.random.default_rng(0))
 
 
+def test_plan_refuses_empty_rounds(planning_setup):
+    kb, buffers, roster, agent, wm = planning_setup
+    with pytest.raises(ContractViolation):
+        plan(agent, None, wm, goal_sampler(buffers), rounds=1, dialogs_per_round=0,
+             sim_buffer=ReplayBuffer(kind="simulated"), kb=kb, roster=roster,
+             rng=np.random.default_rng(0))
+
+
 def test_plan_deterministic(planning_setup):
     kb, buffers, roster, agent, wm = planning_setup
     traces = []
@@ -156,6 +178,70 @@ def test_plan_deterministic(planning_setup):
              sim_buffer=sim, kb=kb, roster=roster, rng=np.random.default_rng(11))
         traces.append([(e.a, e.a_user, e.r, e.done) for e in sim.snapshot()])
     assert traces[0] == traces[1]
+
+
+def rollouts(exps, dialogs_per_round):
+    """Take one round's rollouts off the iterator ``exps``.
+
+    Rollouts advance in lockstep: each turn appends one experience per
+    rollout still running, in rollout order.
+    """
+    runs = [[] for _ in range(dialogs_per_round)]
+    alive = list(range(dialogs_per_round))
+    while alive:
+        for i in alive:
+            runs[i].append(next(exps))
+        alive = [i for i in alive if not runs[i][-1].done]
+    return runs
+
+
+def turn_of(s):
+    return int(np.argmax(s[STATE_DIM - 3 - MAX_TURN_BUCKETS: STATE_DIM - 3]))
+
+
+def plan_with_curiosity(planning_setup, sim, rng_seed, max_turns=6):
+    kb, buffers, roster, agent, wm = planning_setup
+    return plan(agent, CuriosityModel(seed=2), wm, goal_sampler(buffers), rounds=2,
+                dialogs_per_round=5, sim_buffer=sim, kb=kb, roster=roster,
+                rng=np.random.default_rng(rng_seed), rewards=RewardConfig(max_turns=max_turns))
+
+
+def test_plan_with_curiosity_deterministic(planning_setup):
+    traces = []
+    for _ in range(2):
+        sim = ReplayBuffer(kind="simulated")
+        plan_with_curiosity(planning_setup, sim, 4)
+        traces.append([(e.s.tobytes(), e.a, e.r, e.a_user, e.s_next.tobytes(), e.done)
+                       for e in sim.snapshot()])
+    assert traces[0] == traces[1]
+
+
+def test_plan_with_curiosity_rollouts_are_consistent(planning_setup):
+    wm = planning_setup[4]
+    sim = ReplayBuffer(kind="simulated")
+    old = Experience(np.zeros(129), 0, 0.0, 0, np.zeros(129), True)
+    sim.append(old)
+    max_turns = 6
+    n = plan_with_curiosity(planning_setup, sim, 5, max_turns)
+    assert n == len(sim) - 1 and sim[0] is old
+    exps = iter(sim.snapshot()[1:])
+    runs = rollouts(exps, 5) + rollouts(exps, 5)
+    assert next(exps, None) is None
+    ended_by_model = ended_by_cap = 0
+    for run in runs:
+        assert 1 <= len(run) <= max_turns
+        assert [e.done for e in run] == [False] * (len(run) - 1) + [True]
+        assert [turn_of(e.s) for e in run] == list(range(len(run)))
+        for step, nxt in zip(run, run[1:]):
+            assert np.array_equal(step.s_next, nxt.s)
+        _, _, p_done = wm.predict(np.stack([e.s for e in run]), [e.a for e in run])
+        assert (p_done[:-1] <= 0.5).all()
+        if len(run) < max_turns:
+            assert p_done[-1] > 0.5
+            ended_by_model += 1
+        else:
+            ended_by_cap += p_done[-1] <= 0.5
+    assert ended_by_model > 0 and ended_by_cap > 0  # both ways of ending are exercised
 
 
 def test_plan_replays_memorized_pattern():
