@@ -47,10 +47,6 @@ class ReplayBuffer:
     def append(self, exp: Experience) -> None:
         self._items.append(exp)
 
-    def extend(self, exps) -> None:
-        for exp in exps:
-            self.append(exp)
-
     def __len__(self) -> int:
         return len(self._items)
 
@@ -143,14 +139,15 @@ class DqnAgent:
         """Q-learning targets for a batch: r, or r + gamma * max target-Q."""
         states = np.stack([e.s for e in exps])
         next_states = np.stack([e.s_next for e in exps])
-        next_q = self.q_values_batch(next_states, net=self.target_net)
-        best_next = next_q.max(axis=1)
+        actions = np.array([e.a for e in exps])
+        rewards = np.array([e.r for e in exps], dtype=np.float64)
+        done = np.array([e.done for e in exps], dtype=bool)
+        best_next = self.q_values_batch(next_states, net=self.target_net).max(axis=1)
+        rows = np.arange(len(exps))
         targets = np.zeros((len(exps), self.n_actions))
+        targets[rows, actions] = np.where(done, rewards, rewards + self.gamma * best_next)
         mask = np.zeros_like(targets)
-        for i, e in enumerate(exps):
-            y = e.r if e.done else e.r + self.gamma * best_next[i]
-            targets[i, e.a] = y
-            mask[i, e.a] = 1.0
+        mask[rows, actions] = 1.0
         return states, targets, mask
 
     def update(self, buffer: ReplayBuffer, n_batches: int, rng: np.random.Generator) -> float | None:
@@ -213,12 +210,3 @@ class DqnAgent:
             raise FormatError(f"agent checkpoint {path} is not valid JSON") from exc
         return cls.from_json(obj)
 
-
-def select_action_eps_greedy(agent: DqnAgent, s, rng: np.random.Generator) -> int:
-    return agent.select_action(s, rng)
-
-
-def select_action_curiosity(agent: DqnAgent, curiosity_model, s, rng: np.random.Generator) -> int:
-    """Pick the action maximizing Q plus the per-action curiosity value."""
-    bonus, _ = curiosity_model.scores(s)
-    return agent.select_action(s, rng, bonus=bonus)

@@ -6,6 +6,15 @@ clamped nonnegative at inference, is added to Q-values during action
 selection to bias the agent toward states it cannot yet predict. There is
 no inverse model: the state encoding is already action-driven, so the
 prediction target is the raw encoding itself.
+
+The value pass runs over blocks of VALUE_BLOCK_STATES states (116 rows at
+29 actions). On a 2-core Xeon with OpenBLAS 0.3.31, 30 states took a median
+2.5 ms as one 870-row batch and 1.5 ms in 4-state blocks (block-size sweep
+in BENCH_flat_training.json): larger products fall out of cache, and
+OpenBLAS threads them at a loss. There, blocks of 4 or 8 states (row
+counts that are multiples of 4) gave the values of one whole batch to the
+bit for every batch of 1 to 40 states; blocks of 1, 2, 3, 5 or 6 states
+differed in the last bits.
 """
 
 from __future__ import annotations
@@ -22,6 +31,8 @@ from .nets import HeadSpec, LayerSpec, MlpModel, MlpSpec, TrainBatch, mlp_new
 from .world import encode_inputs
 
 log = logging.getLogger(__name__)
+
+VALUE_BLOCK_STATES = 4
 
 
 def curiosity_spec(state_dim: int = 129, n_agent_actions: int = 29, hidden: int = 80) -> MlpSpec:
@@ -52,18 +63,23 @@ class CuriosityModel:
         """Curiosity value of every action in each state, clamped at zero.
 
         ``states`` is one encoded state or a batch of them; the result is
-        shaped (n, n_actions). Only the trunk and the value head run. The
-        first layer is factored as ``s @ W1[:d] + b1 + W1[d + a]``, so the
-        one-hot (state, action) inputs are never built.
+        shaped (n, n_actions). Only the trunk and the value head run, over
+        blocks of VALUE_BLOCK_STATES states. The first layer is factored as
+        ``s @ W1[:d] + b1 + W1[d + a]``, so the one-hot (state, action)
+        inputs are never built.
         """
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        n, d = states.shape[0], self.state_dim
+        n, d, k = states.shape[0], self.state_dim, self.n_agent_actions
         if states.shape != (n, d):
             raise ShapeError(f"expected states of width {d}, got {states.shape}")
         w1, b1 = self.net.shared_params[0]
-        z1 = (states @ w1[:d] + b1)[:, None, :] + w1[d:]  # (n, n_actions, hidden)
-        value = self.net.forward_head(z1.reshape(n * self.n_agent_actions, -1), "value")
-        return np.maximum(value.reshape(n, self.n_agent_actions), 0.0)
+        base = states @ w1[:d] + b1
+        out = np.empty((n, k))
+        for i in range(0, n, VALUE_BLOCK_STATES):
+            z1 = base[i: i + VALUE_BLOCK_STATES, None, :] + w1[d:]  # (states, n_actions, hidden)
+            out[i: i + VALUE_BLOCK_STATES] = self.net.forward_head(
+                z1.reshape(-1, z1.shape[-1]), "value").reshape(-1, k)
+        return np.maximum(out, 0.0, out=out)
 
     def scores(self, s) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate every candidate action for one state.
@@ -88,31 +104,27 @@ class CuriosityModel:
         """Minibatches over the concatenation of both buffers.
 
         The value head's target is the squared prediction error of the
-        pre-update next-state head, computed per batch with no gradient
-        flowing through it.
+        pre-update next-state head, taken from the training step's own
+        forward pass, with no gradient flowing through it.
         """
         pools = [b for b in (real_buffer, sim_buffer) if b is not None and len(b) > 0]
         if not pools:
             log.warning("curiosity update skipped: both buffers are empty")
             return None
         sizes = np.array([len(b) for b in pools])
-        total = int(sizes.sum())
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
         losses = []
         for _ in range(n_batches):
-            flat = rng.integers(0, total, size=BATCH_SIZE)
-            exps = []
-            for f in flat:
-                f = int(f)
-                for b, size in zip(pools, sizes):
-                    if f < size:
-                        exps.append(b[f])
-                        break
-                    f -= int(size)
+            flat = rng.integers(0, int(ends[-1]), size=BATCH_SIZE)
+            which = np.searchsorted(ends, flat, side="right")
+            exps = [pools[p][int(i)] for p, i in zip(which, flat - starts[which])]
             x = encode_inputs(np.stack([e.s for e in exps]), [e.a for e in exps], self.n_agent_actions)
             next_states = np.stack([e.s_next for e in exps])
-            pred = self.net.forward(x)["next_state"]  # pre-update prediction
-            err = ((next_states - pred) ** 2).sum(axis=1, keepdims=True)
-            batch = TrainBatch(x, {"next_state": next_states, "value": err})
+            batch = TrainBatch(x, {
+                "next_state": next_states,
+                "value": lambda out: ((next_states - out["next_state"]) ** 2).sum(axis=1, keepdims=True),
+            })
             losses.append(self.net.train_minibatch(batch, self.learning_rate))
         return float(np.mean(losses))
 

@@ -341,25 +341,30 @@ class KnowledgeBase:
     def __len__(self) -> int:
         return len(self.records)
 
-    def match_ids(self, constraints: dict[Slot, str]) -> list[int]:
+    def _hits(self, constraints: dict[Slot, str]) -> set[int] | range:
+        """Ids of the records matching every constraint, unordered; do not mutate."""
         if not constraints:
-            return list(range(len(self.records)))
+            return range(len(self.records))
         sets = []
         for slot, value in constraints.items():
             ids = self._index.get((slot, normalize_value(value)))
             if not ids:
-                return []
+                return set()
             sets.append(ids)
+        if len(sets) == 1:
+            return sets[0]
         sets.sort(key=len)
-        hits = set.intersection(*sets) if len(sets) > 1 else set(sets[0])
-        return sorted(hits)
+        return set.intersection(*sets)
+
+    def match_ids(self, constraints: dict[Slot, str]) -> list[int]:
+        return sorted(self._hits(constraints))
 
     def match_count(self, constraints: dict[Slot, str]) -> int:
-        return len(self.match_ids(constraints))
+        return len(self._hits(constraints))
 
     def first_match(self, constraints: dict[Slot, str]) -> MovieRecord | None:
-        ids = self.match_ids(constraints)
-        return self.records[ids[0]] if ids else None
+        hits = self._hits(constraints)
+        return self.records[min(hits)] if hits else None
 
     def to_json(self) -> list:
         return [rec.to_json() for rec in self.records]

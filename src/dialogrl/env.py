@@ -137,10 +137,15 @@ def encode_state(state: DialogState) -> np.ndarray:
 
 
 class DialogEnv:
-    """One episode at a time against the rule-based user simulator."""
+    """One episode at a time against the rule-based user simulator.
+
+    With ``record_transcript`` each act of the episode is logged to
+    ``transcript`` as a dict (for ``judge_success`` and ``write_transcript``);
+    otherwise ``transcript`` stays empty.
+    """
 
     def __init__(self, kb: KnowledgeBase, roster: ActionRoster | None = None,
-                 rewards: RewardConfig | None = None, rng=None):
+                 rewards: RewardConfig | None = None, rng=None, record_transcript: bool = False):
         self.kb = kb
         self.roster = roster if roster is not None else default_roster()
         self.rewards = rewards if rewards is not None else RewardConfig()
@@ -149,6 +154,7 @@ class DialogEnv:
         self.rng = rng
         self.goal: UserGoal | None = None
         self.state: DialogState | None = None
+        self.record_transcript = record_transcript
         self.transcript: list[dict] = []
         self._done = True
         self._success: bool | None = None
@@ -363,6 +369,8 @@ class DialogEnv:
         self._success = success
 
     def _log_act(self, speaker: str, act: DialogAct, reward: float) -> None:
+        if not self.record_transcript:
+            return
         self.transcript.append(
             {
                 "turn": self.state.turn,
@@ -414,12 +422,6 @@ class RuleAgent:
                 return self._inform_idx[pending[0]]
             return self.book_index
         return self.confirm_index
-
-
-def rule_based_agent_act(state: DialogState, env: DialogEnv, agent: RuleAgent | None = None) -> DialogAct:
-    """Realized dialog act the scripted policy takes in ``state``."""
-    agent = agent if agent is not None else RuleAgent(env.roster)
-    return env.realize_agent_action(agent.act(state))
 
 
 def judge_success(goal: UserGoal, transcript: list[dict], kb: KnowledgeBase) -> bool:

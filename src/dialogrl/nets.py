@@ -4,12 +4,21 @@ Supports tanh/linear/softmax/sigmoid layers, per-head mse / cross-entropy /
 binary cross-entropy losses with optional element masks, RMSProp updates,
 and a versioned JSON checkpoint format. Everything is float64 so gradient
 checks against finite differences are meaningful.
+
+All parameters live in one flat vector ``theta`` and all RMSProp
+accumulators in one flat vector ``acc``, both in parameter order (shared
+layers, then each head in spec order; per layer the weight matrix row-major,
+then the bias). ``shared_params``, ``head_params``, ``shared_acc`` and
+``head_acc`` are per-layer views into them, so an RMSProp step is one
+elementwise pass over each vector, and the gradient is written into a flat
+vector of the same layout.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -134,10 +143,15 @@ def single_head_spec(input_dim, hidden_dims, output_dim, output_activation="line
 
 @dataclass
 class TrainBatch:
-    """One minibatch: inputs plus per-head targets and optional masks."""
+    """One minibatch: inputs plus per-head targets and optional masks.
+
+    A target may instead be a function of the outputs of the targeted heads
+    before it in spec order, called with a {head name: output} dict from the
+    training step's own forward pass.
+    """
 
     inputs: np.ndarray
-    targets: dict[str, np.ndarray]
+    targets: dict[str, np.ndarray | Callable[[dict[str, np.ndarray]], np.ndarray]]
     masks: dict[str, np.ndarray] = field(default_factory=dict)
 
 
@@ -173,21 +187,59 @@ class MlpModel:
         spec.validate()
         self.spec = spec
         self.step_count = 0
+        size = sum((l.input_dim + 1) * l.output_dim for l in self._layers())
+        self.theta = np.empty(size)
+        self.acc = np.zeros(size)
+        self._bind_views()
         rng = np.random.default_rng(seed)
-        self.shared_params = [self._init_layer(l, rng) for l in spec.shared]
-        self.head_params = {h.name: [self._init_layer(l, rng) for l in h.layers] for h in spec.heads}
-        self.shared_acc = [(np.zeros_like(w), np.zeros_like(b)) for w, b in self.shared_params]
-        self.head_acc = {
-            name: [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
-            for name, layers in self.head_params.items()
-        }
+        for w, b in self._layer_views(self.theta):
+            bound = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            b[...] = 0.0
 
-    @staticmethod
-    def _init_layer(layer: LayerSpec, rng):
-        bound = np.sqrt(6.0 / (layer.input_dim + layer.output_dim))
-        w = rng.uniform(-bound, bound, size=(layer.input_dim, layer.output_dim))
-        b = np.zeros(layer.output_dim)
-        return [w, b]
+    # ---- flat storage -------------------------------------------------------
+
+    def _layers(self) -> list[LayerSpec]:
+        """Every layer in parameter order: the trunk, then each head in spec order."""
+        return [*self.spec.shared, *(l for h in self.spec.heads for l in h.layers)]
+
+    def _layer_views(self, flat: np.ndarray) -> list[list[np.ndarray]]:
+        """[weight, bias] views into ``flat`` for every layer, in parameter order."""
+        views, offset = [], 0
+        for layer in self._layers():
+            n_w = layer.input_dim * layer.output_dim
+            views.append([flat[offset: offset + n_w].reshape(layer.input_dim, layer.output_dim),
+                          flat[offset + n_w: offset + n_w + layer.output_dim]])
+            offset += n_w + layer.output_dim
+        return views
+
+    def _split(self, views):
+        """(trunk views, {head name: views}) from per-layer views in parameter order."""
+        k = len(self.spec.shared)
+        heads = {}
+        for head in self.spec.heads:
+            heads[head.name] = views[k: k + len(head.layers)]
+            k += len(head.layers)
+        return views[:len(self.spec.shared)], heads
+
+    def _bind_views(self) -> None:
+        """Per-layer views into ``theta`` and ``acc``, plus the training step's
+        scratch vectors: kept across steps, because allocating vectors this
+        size on every step cost more than the RMSProp arithmetic."""
+        self.shared_params, self.head_params = self._split(self._layer_views(self.theta))
+        self.shared_acc, self.head_acc = self._split(self._layer_views(self.acc))
+        self._grad = np.empty_like(self.theta)
+        self._grad_views = self._split(self._layer_views(self._grad))
+        self._tmp = np.empty_like(self.theta)
+
+    def __getstate__(self):
+        # The flat vectors only: pickled views would come back as copies
+        # detached from ``theta`` and ``acc``.
+        return {"spec": self.spec, "step_count": self.step_count, "theta": self.theta, "acc": self.acc}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._bind_views()
 
     # ---- forward ----------------------------------------------------------
 
@@ -238,46 +290,57 @@ class MlpModel:
     def train_minibatch(self, batch: TrainBatch, learning_rate: float = 0.001,
                         rho: float = 0.9, eps: float = 1e-8) -> float:
         """One RMSProp step on the joint (equally weighted) head losses."""
-        loss, grads = self._loss_and_grads(batch, want_grads=True)
+        loss, grad = self._loss_and_grads(batch, want_grads=True)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite loss at training step {self.step_count}")
-        shared_grads, head_grads = grads
         if learning_rate != 0.0:
-            for (pair, acc, grad) in zip(self.shared_params, self.shared_acc, shared_grads):
-                self._rmsprop_step(pair, acc, grad, learning_rate, rho, eps)
-            for name in self.head_params:
-                for (pair, acc, grad) in zip(self.head_params[name], self.head_acc[name], head_grads[name]):
-                    self._rmsprop_step(pair, acc, grad, learning_rate, rho, eps)
+            self._rmsprop_step(grad, learning_rate, rho, eps)
         self.step_count += 1
         return float(loss)
 
-    @staticmethod
-    def _rmsprop_step(pair, acc, grad, lr, rho, eps):
-        for i in range(2):
-            acc_i = acc[i]
-            acc_i *= rho
-            acc_i += (1.0 - rho) * grad[i] ** 2
-            pair[i] -= lr * grad[i] / np.sqrt(acc_i + eps)
+    def _rmsprop_step(self, grad, lr, rho, eps) -> None:
+        """``acc = acc * rho + (1 - rho) * g**2``, then ``theta -= lr * g / sqrt(acc + eps)``.
+
+        One pass over the flat vectors, elementwise in the order a per-layer
+        step takes, so the result is the same to the bit. Overwrites ``grad``.
+        """
+        tmp = np.multiply(grad, grad, out=self._tmp)
+        tmp *= 1.0 - rho
+        self.acc *= rho
+        self.acc += tmp
+        np.add(self.acc, eps, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        grad *= lr
+        grad /= tmp
+        self.theta -= grad
 
     def _loss_and_grads(self, batch: TrainBatch, want_grads: bool):
+        """Joint loss and, when asked, its gradient as a flat vector laid out like
+        ``theta``; the vector is the model's scratch, overwritten by the next call."""
         x = self._check_input(batch.inputs)
         n = x.shape[0]
         _, shared_acts = self._run_stack(x, self.spec.shared, self.shared_params)
         trunk = shared_acts[-1]
 
+        shared_grads, head_grads = self._grad_views
         total_loss = 0.0
-        head_grads = {}
+        outputs = {}
         d_trunk = np.zeros_like(trunk)
         for head in self.spec.heads:
             if head.name not in batch.targets:
-                head_grads[head.name] = [
-                    (np.zeros_like(w), np.zeros_like(b)) for w, b in self.head_params[head.name]
-                ]
+                if want_grads:
+                    for gw, gb in head_grads[head.name]:
+                        gw[...] = 0.0
+                        gb[...] = 0.0
                 continue
-            target = np.asarray(batch.targets[head.name], dtype=np.float64)
+            y, acts = self._run_stack(trunk, head.layers, self.head_params[head.name])
+            outputs[head.name] = y
+            target = batch.targets[head.name]
+            if callable(target):
+                target = target(outputs)
+            target = np.asarray(target, dtype=np.float64)
             if target.ndim == 1:
                 target = target[None, :] if n == 1 and target.shape[0] != n else target[:, None]
-            y, acts = self._run_stack(trunk, head.layers, self.head_params[head.name])
             if target.shape != y.shape:
                 raise ShapeError(
                     f"head '{head.name}': target shape {target.shape} != output {y.shape}"
@@ -289,14 +352,13 @@ class MlpModel:
             total_loss += loss
             if not want_grads:
                 continue
-            grads, dx = self._backprop_stack(head.layers, self.head_params[head.name], acts, dz)
-            head_grads[head.name] = grads
-            d_trunk += dx
+            d_trunk += self._backprop_stack(head.layers, self.head_params[head.name], acts, dz,
+                                            head_grads[head.name])
         if not want_grads:
             return total_loss, None
-        shared_grads, _ = self._backprop_stack(self.spec.shared, self.shared_params, shared_acts, d_trunk,
-                                               grad_is_dz=False)
-        return total_loss, (shared_grads, head_grads)
+        self._backprop_stack(self.spec.shared, self.shared_params, shared_acts, d_trunk,
+                             shared_grads, grad_is_dz=False)
+        return total_loss, self._grad
 
     @staticmethod
     def _head_loss(head: HeadSpec, y, acts, target, mask, n):
@@ -333,9 +395,9 @@ class MlpModel:
         raise SpecError(f"unknown loss '{kind}'")
 
     @staticmethod
-    def _backprop_stack(layers, params, acts, upstream, grad_is_dz=True):
-        """Walk a layer stack backwards; returns per-layer grads and d_input."""
-        grads = [None] * len(layers)
+    def _backprop_stack(layers, params, acts, upstream, grads, grad_is_dz=True):
+        """Walk a layer stack backwards, writing each layer's [weight, bias]
+        gradient into ``grads``; returns the gradient at the stack's input."""
         cursor = upstream
         for i in reversed(range(len(layers))):
             w, _ = params[i]
@@ -344,42 +406,29 @@ class MlpModel:
                 dz = cursor
             else:
                 dz = cursor * _activation_grad_from_output(a_out, layers[i].activation)
-            a_in = acts[i]
-            grads[i] = (a_in.T @ dz, dz.sum(axis=0))
+            np.matmul(acts[i].T, dz, out=grads[i][0])
+            dz.sum(axis=0, out=grads[i][1])
             cursor = dz @ w.T
-        return grads, cursor
+        return cursor
 
     # ---- parameter plumbing --------------------------------------------------
 
-    def parameter_arrays(self):
-        arrays = []
-        for w, b in self.shared_params:
-            arrays.extend([w, b])
-        for head in self.spec.heads:
-            for w, b in self.head_params[head.name]:
-                arrays.extend([w, b])
-        return arrays
-
     def parameter_vector(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.parameter_arrays()])
+        return self.theta.copy()
 
     def n_parameters(self) -> int:
-        return int(sum(a.size for a in self.parameter_arrays()))
+        return self.theta.size
 
     def set_parameter_vector(self, vec: np.ndarray) -> None:
         vec = np.asarray(vec, dtype=np.float64)
-        if vec.size != self.n_parameters():
-            raise ShapeError(f"expected {self.n_parameters()} parameters, got {vec.size}")
-        offset = 0
-        for arr in self.parameter_arrays():
-            chunk = vec[offset: offset + arr.size]
-            arr[...] = chunk.reshape(arr.shape)
-            offset += arr.size
+        if vec.size != self.theta.size:
+            raise ShapeError(f"expected {self.theta.size} parameters, got {vec.size}")
+        self.theta[:] = vec.ravel()
 
     def copy_parameters_from(self, other: "MlpModel") -> None:
         if self.spec.digest() != other.spec.digest():
             raise SpecError("cannot copy parameters between different specs")
-        self.set_parameter_vector(other.parameter_vector())
+        self.theta[:] = other.theta
 
     def clone(self) -> "MlpModel":
         twin = MlpModel(self.spec, seed=0)
@@ -388,7 +437,7 @@ class MlpModel:
         return twin
 
     def all_finite(self) -> bool:
-        return all(np.isfinite(a).all() for a in self.parameter_arrays())
+        return bool(np.isfinite(self.theta).all())
 
     # ---- checkpoint format -----------------------------------------------------
 
@@ -484,11 +533,5 @@ def numerical_gradient(model: MlpModel, batch: TrainBatch, h: float = 1e-5) -> n
 
 def analytic_gradient(model: MlpModel, batch: TrainBatch) -> np.ndarray:
     """Backprop gradient flattened in parameter order (for tests)."""
-    _, (shared_grads, head_grads) = model._loss_and_grads(batch, want_grads=True)
-    chunks = []
-    for gw, gb in shared_grads:
-        chunks.extend([gw.ravel(), gb.ravel()])
-    for head in model.spec.heads:
-        for gw, gb in head_grads[head.name]:
-            chunks.extend([gw.ravel(), gb.ravel()])
-    return np.concatenate(chunks)
+    _, grad = model._loss_and_grads(batch, want_grads=True)
+    return grad.copy()

@@ -95,10 +95,9 @@ class WorldModel:
             exps = real_buffer.sample(BATCH_SIZE, rng)
             x = encode_inputs(np.stack([e.s for e in exps]), [e.a for e in exps], self.n_agent_actions)
             user_targets = np.zeros((len(exps), self.n_user_actions))
-            for i, e in enumerate(exps):
-                user_targets[i, e.a_user] = 1.0
-            rewards = np.array([[e.r] for e in exps])
-            dones = np.array([[1.0 if e.done else 0.0] for e in exps])
+            user_targets[np.arange(len(exps)), [e.a_user for e in exps]] = 1.0
+            rewards = np.array([[e.r] for e in exps], dtype=np.float64)
+            dones = np.array([[e.done] for e in exps], dtype=np.float64)
             batch = TrainBatch(x, {"user_action": user_targets, "reward": rewards, "termination": dones})
             losses.append(self.net.train_minibatch(batch, self.learning_rate))
         return float(np.mean(losses))

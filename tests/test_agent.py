@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from dialogrl.agent import (
-    DqnAgent,
-    Experience,
-    ReplayBuffer,
-    select_action_curiosity,
-    select_action_eps_greedy,
-)
+from dialogrl.agent import DqnAgent, Experience, ReplayBuffer
 from dialogrl.errors import ShapeError
 
 
@@ -22,11 +16,6 @@ def make_exp(rng, state_dim=129, n_actions=29, n_user=35, done=False, r=None, a=
         s_next=s2,
         done=done,
     )
-
-
-class ZeroBonus:
-    def scores(self, s):
-        return np.zeros(29), np.zeros((29, 129))
 
 
 def test_q_values_shape_and_purity():
@@ -98,8 +87,8 @@ def test_curiosity_selection_reduces_to_greedy_with_zero_bonus():
     rng_a = np.random.default_rng(99)
     rng_b = np.random.default_rng(99)
     states = np.random.default_rng(5).random((300, 129)) > 0.5
-    trace_greedy = [select_action_eps_greedy(agent, s.astype(float), rng_a) for s in states]
-    trace_bonus = [select_action_curiosity(agent, ZeroBonus(), s.astype(float), rng_b) for s in states]
+    trace_greedy = [agent.select_action(s.astype(float), rng_a) for s in states]
+    trace_bonus = [agent.select_action(s.astype(float), rng_b, bonus=np.zeros(29)) for s in states]
     assert trace_greedy == trace_bonus
 
 

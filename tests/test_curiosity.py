@@ -62,6 +62,21 @@ def test_values_match_scores_row_by_row():
     assert (v > 0).any() and (v >= 0).all()
 
 
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 30])
+def test_values_match_whole_net_across_blocks(n):
+    # Canonical sizes: 29 actions make 4-state blocks, so n = 5 and 30 cross block edges.
+    cm = CuriosityModel(seed=3)
+    rng = np.random.default_rng(n)
+    cm.net.set_parameter_vector(rng.normal(scale=0.3, size=cm.net.n_parameters()))
+    states = (rng.random((n, 129)) > 0.5).astype(float)
+    x = encode_inputs(np.repeat(states, 29, axis=0), np.tile(np.arange(29), n), 29)
+    full = np.maximum(cm.net.forward(x)["value"][:, 0], 0.0).reshape(n, 29)
+    v = cm.values(states)
+    assert v.shape == (n, 29)
+    assert np.allclose(v, full, rtol=0.0, atol=1e-12)
+    assert (v > 0).any()
+
+
 def test_values_of_one_state_is_a_batch_of_one():
     cm = tiny_cm(seed=1)
     s = rand_state(np.random.default_rng(0))
@@ -93,6 +108,37 @@ def test_train_empty_buffers_noop():
                    np.random.default_rng(0))
     assert out is None
     assert np.array_equal(before, cm.net.parameter_vector())
+
+
+def test_train_matches_two_pass_reference():
+    # Reference: draw over the two pools in a Python loop, run a separate
+    # forward for the pre-update prediction, then train on explicit targets.
+    import copy
+
+    from dialogrl.nets import TrainBatch
+
+    cm = tiny_cm(seed=10, lr=0.01)
+    ref = copy.deepcopy(cm.net)
+    rng = np.random.default_rng(6)
+    real, sim = ReplayBuffer(kind="real"), ReplayBuffer(kind="simulated")
+    for buf, n in ((real, 13), (sim, 29)):
+        for _ in range(n):
+            buf.append(Experience(rand_state(rng), int(rng.integers(ACTIONS)), 0.0, 0,
+                                  rand_state(rng), False))
+    loss = cm.train(real, sim, n_batches=6, rng=np.random.default_rng(2))
+
+    ref_rng = np.random.default_rng(2)
+    losses = []
+    for _ in range(6):
+        exps = []
+        for f in ref_rng.integers(0, len(real) + len(sim), size=16):
+            exps.append(real[int(f)] if f < len(real) else sim[int(f) - len(real)])
+        x = encode_inputs(np.stack([e.s for e in exps]), [e.a for e in exps], ACTIONS)
+        next_states = np.stack([e.s_next for e in exps])
+        err = ((next_states - ref.forward(x)["next_state"]) ** 2).sum(axis=1, keepdims=True)
+        losses.append(ref.train_minibatch(TrainBatch(x, {"next_state": next_states, "value": err}), 0.01))
+    assert loss == float(np.mean(losses))
+    assert cm.net.parameter_vector().tobytes() == ref.parameter_vector().tobytes()
 
 
 def test_curiosity_value_converges_on_single_transition():

@@ -166,11 +166,18 @@ def test_cumulative_reward_identity_success(kb):
 
 def test_transcript_reward_sum_matches(kb):
     goals = generate_goal_set(kb, {2: 5}, seed=9)
-    env = DialogEnv(kb, rng=2)
+    env = DialogEnv(kb, rng=2, record_transcript=True)
     for goal in goals:
         total, turns, _ = run_rule_episode(env, goal)
         logged = sum(line["reward"] for line in env.transcript)
         assert logged == total
+
+
+def test_transcript_is_opt_in(kb):
+    goal = generate_goal_set(kb, {2: 1}, seed=9)[0]
+    quiet, logged = DialogEnv(kb, rng=2), DialogEnv(kb, rng=2, record_transcript=True)
+    assert run_rule_episode(quiet, goal) == run_rule_episode(logged, goal)
+    assert quiet.transcript == [] and len(logged.transcript) > 0
 
 
 def test_encode_state_fresh_after_reset(kb):
@@ -274,7 +281,7 @@ def test_rule_agent_handles_middle_and_difficult(kb):
 
 def test_judge_success_matches_env(kb):
     goals = generate_goal_set(kb, {1: 8, 2: 6, 4: 6}, seed=31)
-    env = DialogEnv(kb, rng=5)
+    env = DialogEnv(kb, rng=5, record_transcript=True)
     agent = RuleAgent(env.roster)
     rng = np.random.default_rng(8)
     for i, goal in enumerate(goals):
@@ -292,7 +299,7 @@ def test_judge_success_requires_answers(kb):
     goal, _ = make_goal_from_record(
         kb, [Slot.MOVIENAME, Slot.CITY], [Slot.TICKET, Slot.STARTTIME]
     )
-    env = DialogEnv(kb, rng=0)
+    env = DialogEnv(kb, rng=0, record_transcript=True)
     state, _ = env.reset(goal)
     book = RuleAgent(env.roster).book_index
     env.step(book)  # books without ever answering starttime
@@ -307,7 +314,7 @@ def test_judge_success_fig4_pattern(kb):
         [Slot.MOVIENAME, Slot.CITY, Slot.NUMBEROFPEOPLE, Slot.THEATER, Slot.STARTTIME, Slot.DATE],
         [Slot.TICKET],
     )
-    env = DialogEnv(kb, rng=1)
+    env = DialogEnv(kb, rng=1, record_transcript=True)
     _, _, success = run_rule_episode(env, goal)
     assert success is True
     assert judge_success(goal, env.transcript, kb) is True
@@ -334,7 +341,7 @@ def test_user_step_deterministic(kb):
     )
     traces = []
     for _ in range(2):
-        env = DialogEnv(kb, rng=99)
+        env = DialogEnv(kb, rng=99, record_transcript=True)
         state, _ = env.reset(goal)
         agent = RuleAgent(env.roster)
         while not env.done:
@@ -354,7 +361,7 @@ def test_transcript_roundtrip_jsonl(kb, tmp_path):
     from dialogrl.env import read_transcript, write_transcript
 
     goal, _ = make_goal_from_record(kb, [Slot.MOVIENAME, Slot.CITY], [Slot.TICKET])
-    env = DialogEnv(kb, rng=3)
+    env = DialogEnv(kb, rng=3, record_transcript=True)
     run_rule_episode(env, goal)
     path = tmp_path / "episode.jsonl"
     write_transcript(env.transcript, path)
@@ -396,7 +403,7 @@ def test_success_always_implies_full_statement_and_answers(kb):
     successes = 0
     for episode in range(300):
         goal = goals[episode % len(goals)]
-        env = DialogEnv(kb, rng=episode)
+        env = DialogEnv(kb, rng=episode, record_transcript=True)
         state, _ = env.reset(goal)
         while not env.done:
             if rng.random() < 0.6:

@@ -184,6 +184,42 @@ def test_parameters_stay_finite_under_training():
     assert model.all_finite()
 
 
+def test_flat_rmsprop_step_matches_per_layer_reference():
+    spec_info = random_multihead_spec(np.random.default_rng(11))
+    model = mlp_new(spec_info[0], seed=4)
+    # Per-layer copies of the parameters and accumulators, in parameter order.
+    layers = list(model.shared_params) + [p for h in spec_info[0].heads for p in model.head_params[h.name]]
+    params = [a.copy() for pair in layers for a in pair]
+    accs = [np.zeros_like(a) for a in params]
+    rng = np.random.default_rng(12)
+    lr, rho, eps = 0.01, 0.9, 1e-8
+    for _ in range(5):
+        batch = random_batch_for(spec_info, rng, masked=True)
+        flat = analytic_gradient(model, batch)
+        grads = np.split(flat, np.cumsum([a.size for a in params])[:-1])
+        for p, acc, g in zip(params, accs, grads):
+            g = g.reshape(p.shape)
+            acc *= rho
+            acc += (1.0 - rho) * g ** 2
+            p -= lr * g / np.sqrt(acc + eps)
+        model.train_minibatch(batch, learning_rate=lr, rho=rho, eps=eps)
+        assert model.parameter_vector().tobytes() == np.concatenate([p.ravel() for p in params]).tobytes()
+        assert model.acc.tobytes() == np.concatenate([a.ravel() for a in accs]).tobytes()
+
+
+def test_layer_views_share_the_flat_vectors_after_pickling():
+    import pickle
+
+    spec_info = random_multihead_spec(np.random.default_rng(13))
+    model = pickle.loads(pickle.dumps(mlp_new(spec_info[0], seed=5)))
+    rng = np.random.default_rng(14)
+    model.train_minibatch(random_batch_for(spec_info, rng), learning_rate=0.01)
+    w, b = model.shared_params[0]
+    assert np.shares_memory(w, model.theta) and np.shares_memory(b, model.theta)
+    assert np.shares_memory(model.head_acc["bin"][0][0], model.acc)
+    assert np.array_equal(model.parameter_vector()[:w.size], w.ravel())
+
+
 def test_non_finite_loss_raises():
     model = mlp_new(single_head_spec(2, [], 1, "linear", "mse"), seed=0)
     batch = TrainBatch(np.array([[np.inf, 1.0]]), {"out": np.array([[0.0]])})
