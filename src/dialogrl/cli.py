@@ -172,32 +172,12 @@ def _matrix_worker(payload):
     obj, display_seed = payload
     config = RunConfig.from_json(obj)
     try:
-        run_dir = _run_with_display_seed(config, display_seed)
+        # the directory and the run_id column carry the human-readable seed
+        # index; the echoed config keeps the derived seed
+        run_dir = run_experiment(config, run_id=f"{config.method}_{config.schedule}_{display_seed}")
         return (config.method, config.schedule, display_seed, str(run_dir), None)
     except Exception as exc:  # record the failure, let the driver aggregate
         return (config.method, config.schedule, display_seed, None, repr(exc))
-
-
-def _run_with_display_seed(config: RunConfig, display_seed: int):
-    from .training import Trainer, load_run_data, write_actions_csv, write_eval_csv, write_metrics_csv
-
-    config.validate()
-    kb, goals = load_run_data(config)
-    run_id = f"{config.method}_{config.schedule}_{display_seed}"
-    run_dir = Path(config.out_dir) / run_id
-    run_dir.mkdir(parents=True, exist_ok=True)
-    trainer = Trainer(config, kb, goals)
-    epoch_reports, eval_reports = trainer.run(
-        on_checkpoint=lambda epoch, tr: tr.agent.save(run_dir / f"checkpoint_ep{epoch}.json")
-    )
-    # the echoed config is the exact one used (derived seed included); only
-    # the directory and the run_id column carry the human-readable index
-    (run_dir / "config.json").write_text(json.dumps(config.to_json(), indent=1) + "\n",
-                                         encoding="utf-8")
-    write_metrics_csv(run_dir / "metrics.csv", run_id, config, epoch_reports)
-    write_eval_csv(run_dir / "eval.csv", run_id, eval_reports)
-    write_actions_csv(run_dir / "actions.csv", run_id, trainer.stage_action_counts)
-    return run_dir
 
 
 def cmd_matrix(args) -> int:

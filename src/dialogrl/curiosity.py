@@ -19,15 +19,13 @@ differed in the last bits.
 
 from __future__ import annotations
 
-import json
 import logging
-from pathlib import Path
 
 import numpy as np
 
 from .agent import BATCH_SIZE, ReplayBuffer
-from .errors import FormatError, ShapeError
-from .nets import HeadSpec, LayerSpec, MlpModel, MlpSpec, TrainBatch, mlp_new
+from .errors import ShapeError
+from .nets import HeadSpec, LayerSpec, MlpSpec, TrainBatch, mlp_new
 from .world import encode_inputs
 
 log = logging.getLogger(__name__)
@@ -127,13 +125,3 @@ class CuriosityModel:
             })
             losses.append(self.net.train_minibatch(batch, self.learning_rate))
         return float(np.mean(losses))
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.net.to_json()), encoding="utf-8")
-
-    def load_net(self, path) -> None:
-        try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"curiosity checkpoint {path} is not valid JSON") from exc
-        self.net = MlpModel.from_json(obj)

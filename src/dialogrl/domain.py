@@ -59,7 +59,6 @@ class Intent(IntEnum):
 
 
 SLOT_BY_NAME = {s.label: s for s in Slot}
-INTENT_BY_NAME = {i.label: i for i in Intent}
 
 # Slots that appear as fields of a KB record, i.e. everything an agent can
 # look up and state. Order is the canonical serialization order.
@@ -124,28 +123,12 @@ class DialogAct:
     inform_slots: dict[Slot, str] = field(default_factory=dict)
     request_slots: tuple[Slot, ...] = ()
 
-    def validate(self) -> "DialogAct":
-        if self.intent == Intent.REQUEST and not self.request_slots:
-            raise ParseError("request act must carry at least one request slot")
-        overlap = set(self.inform_slots) & set(self.request_slots)
-        if overlap:
-            names = ", ".join(s.label for s in sorted(overlap))
-            raise ParseError(f"inform and request slots overlap: {names}")
-        return self
-
     def to_json(self) -> dict:
         return {
             "intent": self.intent.label,
             "inform_slots": {s.label: v for s, v in self.inform_slots.items()},
             "request_slots": [s.label for s in self.request_slots],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DialogAct":
-        intent = _parse_intent(obj.get("intent"))
-        informs = {_parse_slot(k): str(v) for k, v in obj.get("inform_slots", {}).items()}
-        requests = tuple(_parse_slot(k) for k in obj.get("request_slots", []))
-        return cls(intent, informs, requests).validate()
 
 
 def _parse_slot(name) -> Slot:
@@ -155,22 +138,12 @@ def _parse_slot(name) -> Slot:
     return slot
 
 
-def _parse_intent(name) -> Intent:
-    intent = INTENT_BY_NAME.get(str(name))
-    if intent is None:
-        raise ParseError(f"unknown intent name '{name}'")
-    return intent
-
-
 class ActionRoster:
     """Ordered agent/user dialog-act templates; indices are stable for a run."""
 
-    VERSION = 1
-
-    def __init__(self, agent_actions, user_actions, version=VERSION):
+    def __init__(self, agent_actions, user_actions):
         self.agent_actions = list(agent_actions)
         self.user_actions = list(user_actions)
-        self.version = version
         self._agent_lookup = {self._key(a): i for i, a in enumerate(self.agent_actions)}
         self._user_lookup = {self._key(a): i for i, a in enumerate(self.user_actions)}
 
@@ -199,22 +172,6 @@ class ActionRoster:
 
     def user_index(self, act: DialogAct) -> int:
         return self._user_lookup[self._key(act)]
-
-    def to_json(self) -> dict:
-        return {
-            "version": self.version,
-            "agent_actions": [a.to_json() for a in self.agent_actions],
-            "user_actions": [a.to_json() for a in self.user_actions],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ActionRoster":
-        try:
-            agent = [DialogAct.from_json(a) for a in obj["agent_actions"]]
-            user = [DialogAct.from_json(a) for a in obj["user_actions"]]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"malformed roster file: {exc}") from exc
-        return cls(agent, user, version=obj.get("version", cls.VERSION))
 
 
 def default_roster() -> ActionRoster:
@@ -526,15 +483,3 @@ def load_kb(path) -> KnowledgeBase:
     if not isinstance(data, list):
         raise ParseError(f"KB file {path}: expected a JSON array")
     return KnowledgeBase([MovieRecord.from_json(obj) for obj in data])
-
-
-def save_roster(roster: ActionRoster, path) -> None:
-    Path(path).write_text(json.dumps(roster.to_json(), indent=1) + "\n", encoding="utf-8")
-
-
-def load_roster(path) -> ActionRoster:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"roster file {path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return ActionRoster.from_json(data)

@@ -88,10 +88,6 @@ class DialogState:
     accepted: dict[Slot, str] = field(default_factory=dict)
     kb_match_count: int = 0
 
-    @property
-    def user_informed(self):
-        return set(self.user_informs)
-
 
 @dataclass
 class StepOutcome:
@@ -165,7 +161,7 @@ class DialogEnv:
         if not kb_query(self.kb, goal.inform_slots):
             raise EnvSetupError("goal constraints match no KB record")
         self.goal = goal
-        self.state = DialogState()
+        self.state = DialogState(kb_match_count=len(self.kb))  # no constraints yet
         self.transcript = []
         self._done = False
         self._success = None
@@ -174,7 +170,6 @@ class DialogEnv:
         first = self._first_user_act()
         self._record_user_informs(first)
         self.state.last_user_act = first
-        self._refresh_kb_count()
         self._log_act("user", first, 0.0)
         return self.state, first
 
@@ -203,7 +198,6 @@ class DialogEnv:
 
         self._record_user_informs(user_act)
         self.state.last_user_act = user_act
-        self._refresh_kb_count()
         self._log_act("agent", act, reward)
         self._log_act("user", user_act, 0.0)
         return StepOutcome(user_act, reward, self._done, self._success)
@@ -253,19 +247,15 @@ class DialogEnv:
         Values are realized from the goal where available so the encoding
         of simulated experiences stays consistent with real ones.
         """
-        st = self.state
         if template.intent == Intent.INFORM:
             slot = next(iter(template.inform_slots))
-            value = self.goal.inform_slots.get(slot, "unknown")
-            act = DialogAct(Intent.INFORM, {slot: value})
-            if slot in self.goal.inform_slots:
-                st.user_informs[slot] = value
+            act = DialogAct(Intent.INFORM, {slot: self.goal.inform_slots.get(slot, "unknown")})
         elif template.intent == Intent.REQUEST:
             act = DialogAct(Intent.REQUEST, request_slots=template.request_slots)
         else:
             act = DialogAct(template.intent)
-        st.last_user_act = act
-        self._refresh_kb_count()
+        self._record_user_informs(act)
+        self.state.last_user_act = act
 
     # ---- user simulator rules ----------------------------------------------
 
@@ -338,6 +328,7 @@ class DialogEnv:
         if self.kb.match_count(probe) >= 1:
             st.accepted[slot] = value
             st.outstanding.remove(slot)
+            self._refresh_kb_count()
 
     def _booking_success(self) -> bool:
         st, goal = self.state, self.goal
@@ -352,9 +343,10 @@ class DialogEnv:
     # ---- bookkeeping ---------------------------------------------------------
 
     def _record_user_informs(self, act: DialogAct) -> None:
-        for slot, value in act.inform_slots.items():
-            if slot in self.goal.inform_slots:
-                self.state.user_informs[slot] = value
+        informs = {s: v for s, v in act.inform_slots.items() if s in self.goal.inform_slots}
+        if informs:
+            self.state.user_informs.update(informs)
+            self._refresh_kb_count()
 
     def _constraints(self) -> dict[Slot, str]:
         merged = dict(self.state.user_informs)
@@ -362,6 +354,8 @@ class DialogEnv:
         return merged
 
     def _refresh_kb_count(self) -> None:
+        """Recount KB matches; called only where the constraints change (a
+        user inform of a goal slot, an accepted answer)."""
         self.state.kb_match_count = self.kb.match_count(self._constraints())
 
     def _finish(self, success: bool) -> None:
@@ -372,14 +366,7 @@ class DialogEnv:
         if not self.record_transcript:
             return
         self.transcript.append(
-            {
-                "turn": self.state.turn,
-                "speaker": speaker,
-                "intent": act.intent.label,
-                "inform_slots": {s.label: v for s, v in act.inform_slots.items()},
-                "request_slots": [s.label for s in act.request_slots],
-                "reward": reward,
-            }
+            {"turn": self.state.turn, "speaker": speaker, **act.to_json(), "reward": reward}
         )
 
 

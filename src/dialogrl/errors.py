@@ -14,7 +14,7 @@ class ShapeError(DialogRlError, ValueError):
 
 
 class ParseError(DialogRlError, ValueError):
-    """Malformed data file (goals, KB, roster)."""
+    """Malformed data file (goals, KB)."""
 
 
 class FormatError(DialogRlError, ValueError):

@@ -20,7 +20,6 @@ import hashlib
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -501,18 +500,6 @@ class MlpModel:
 
 def mlp_new(spec: MlpSpec, seed: int = 0) -> MlpModel:
     return MlpModel(spec, seed=seed)
-
-
-def save_model(model: MlpModel, path) -> None:
-    Path(path).write_text(json.dumps(model.to_json()), encoding="utf-8")
-
-
-def load_model(path) -> MlpModel:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"checkpoint {path} is not valid JSON: {exc.msg}") from exc
-    return MlpModel.from_json(obj)
 
 
 def numerical_gradient(model: MlpModel, batch: TrainBatch, h: float = 1e-5) -> np.ndarray:

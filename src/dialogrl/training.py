@@ -23,6 +23,7 @@ from .agent import DqnAgent, Experience, ReplayBuffer
 from .curiosity import CuriosityModel
 from .curriculum import (
     ALL,
+    LEVELS,
     GoalBuffers,
     build_buffers,
     sample_goal,
@@ -58,6 +59,17 @@ METHODS = {
 }
 SCHEDULED_METHODS = ("S-DDQ", "SC-DDQ")
 UNSCHEDULED_METHODS = ("DQN", "DDQ", "C-DDQ")
+
+# RunConfig field annotation -> JSON value types it accepts. A bool passes only
+# where bool is listed (Python counts it as an int), and floats must be finite.
+_JSON_TYPES = {
+    "str": (str,),
+    "int": (int,),
+    "int | None": (int, type(None)),
+    "float": (int, float),
+    "bool": (bool,),
+    "dict": (dict,),
+}
 
 
 @dataclass
@@ -129,9 +141,24 @@ class RunConfig:
         unknown = set(obj) - known
         if unknown:
             raise ConfigError(f"config: unknown fields {sorted(unknown)}")
+        for name, value in obj.items():
+            kind = cls.__dataclass_fields__[name].type
+            allowed = _JSON_TYPES[kind]
+            if (not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed)
+                    or (isinstance(value, float) and not math.isfinite(value))):
+                raise ConfigError(f"{name}: expected {kind}, got {value!r}")
         data = dict(obj)
-        if "goal_counts" in data and data["goal_counts"] is not None:
-            data["goal_counts"] = {int(k): int(v) for k, v in data["goal_counts"].items()}
+        if "goal_counts" in data:
+            counts = {}
+            for k, v in data["goal_counts"].items():
+                if not isinstance(v, int) or isinstance(v, bool) or not str(k).isdecimal():
+                    raise ConfigError(f"goal_counts: expected request-slot count -> goal count "
+                                      f"integers, got {k!r}: {v!r}")
+                counts[int(k)] = v
+            data["goal_counts"] = counts
+        for name, levels in data.get("custom_schedules", {}).items():
+            if not isinstance(levels, list) or len(levels) != 4 or any(lv not in LEVELS for lv in levels):
+                raise ConfigError(f"custom_schedules: {name!r} must list 4 levels from {LEVELS}")
         return cls(**data)
 
     @classmethod
@@ -272,7 +299,27 @@ class Trainer:
                 raise ConfigError(f"goals_path: schedule {cfg.schedule} needs {level} goals "
                                   f"but the goal set has none")
 
-    # ---- warm start -----------------------------------------------------------
+    # ---- real dialogs and warm start ------------------------------------------
+
+    def _play_real_dialog(self, env: DialogEnv, goal: UserGoal, choose) -> tuple[list[int], float]:
+        """Play one dialog into the real buffer; returns its actions and reward sum.
+
+        ``choose(state, state_vector) -> action index``.
+        """
+        state, _ = env.reset(goal)
+        actions = []
+        total = 0.0
+        while not env.done:
+            s = encode_state(state)
+            a = choose(state, s)
+            outcome = env.step(a)
+            self.real_buffer.append(
+                Experience(s, a, outcome.reward, self.roster.user_index(outcome.user_act),
+                           encode_state(state), outcome.done)
+            )
+            actions.append(a)
+            total += outcome.reward
+        return actions, total
 
     def warm_start(self) -> int:
         """Scripted dialogs into the real buffer, then Q-net pretraining."""
@@ -282,16 +329,8 @@ class Trainer:
         stored = 0
         for _ in range(cfg.warm_start_dialogs):
             goal = sample_goal(self.buffers, level, self.rngs["warm"])
-            state, _ = env.reset(goal)
-            while not env.done:
-                s = encode_state(state)
-                a = self.rule_agent.act(state)
-                outcome = env.step(a)
-                exp = Experience(s, a, outcome.reward,
-                                 self.roster.user_index(outcome.user_act),
-                                 encode_state(state), outcome.done)
-                self.real_buffer.append(exp)
-                stored += 1
+            actions, _ = self._play_real_dialog(env, goal, lambda state, s: self.rule_agent.act(state))
+            stored += len(actions)
         for _ in range(cfg.warm_start_updates):
             self.agent.update(self.real_buffer, n_batches=1, rng=self.rngs["warm-train"])
         self.agent.sync_target()
@@ -300,9 +339,9 @@ class Trainer:
 
     # ---- one epoch ----------------------------------------------------------
 
-    def _select(self, s, rng) -> int:
+    def _select(self, state, s) -> int:
         bonus = self.curiosity.values(s)[0] if self.curiosity is not None else None
-        return self.agent.select_action(s, rng, bonus=bonus)
+        return self.agent.select_action(s, self.rngs["explore"], bonus=bonus)
 
     def run_epoch(self, epoch: int) -> EpochReport:
         if not self._warm_started:
@@ -319,20 +358,9 @@ class Trainer:
         new_real = 0
         for _ in range(cfg.real_dialogs_per_epoch):
             goal = sample_goal(self.buffers, level, self.rngs["goals"])
-            state, _ = self.env.reset(goal)
-            total = 0.0
-            while not self.env.done:
-                s = encode_state(state)
-                a = self._select(s, self.rngs["explore"])
-                outcome = self.env.step(a)
-                counts[a] += 1
-                self.real_buffer.append(
-                    Experience(s, a, outcome.reward,
-                               self.roster.user_index(outcome.user_act),
-                               encode_state(state), outcome.done)
-                )
-                new_real += 1
-                total += outcome.reward
+            actions, total = self._play_real_dialog(self.env, goal, self._select)
+            np.add.at(counts, actions, 1)
+            new_real += len(actions)
             wins += 1 if self.env.success else 0
             episode_rewards.append(total)
 
@@ -478,24 +506,27 @@ def load_run_data(config: RunConfig):
 
 
 def run_experiment(config: RunConfig, kb: KnowledgeBase | None = None,
-                   goals: list[UserGoal] | None = None) -> Path:
-    """Run one configuration end to end and write its run directory."""
+                   goals: list[UserGoal] | None = None, run_id: str | None = None) -> Path:
+    """Run one configuration end to end and write its run directory.
+
+    ``run_id`` (default ``config.run_id``) names the directory and fills the
+    run_id column; the echoed config.json is always the exact config used.
+    """
     config.validate()
+    run_id = config.run_id if run_id is None else run_id
     if kb is None or goals is None:
         kb, goals = load_run_data(config)
-    run_dir = Path(config.out_dir) / config.run_id
+    run_dir = Path(config.out_dir) / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
 
     trainer = Trainer(config, kb, goals)
-
-    def on_checkpoint(epoch, tr: Trainer):
-        tr.agent.save(run_dir / f"checkpoint_ep{epoch}.json")
-
-    epoch_reports, eval_reports = trainer.run(on_checkpoint=on_checkpoint)
+    epoch_reports, eval_reports = trainer.run(
+        on_checkpoint=lambda epoch, tr: tr.agent.save(run_dir / f"checkpoint_ep{epoch}.json")
+    )
 
     (run_dir / "config.json").write_text(json.dumps(config.to_json(), indent=1) + "\n",
                                          encoding="utf-8")
-    write_metrics_csv(run_dir / "metrics.csv", config.run_id, config, epoch_reports)
-    write_eval_csv(run_dir / "eval.csv", config.run_id, eval_reports)
-    write_actions_csv(run_dir / "actions.csv", config.run_id, trainer.stage_action_counts)
+    write_metrics_csv(run_dir / "metrics.csv", run_id, config, epoch_reports)
+    write_eval_csv(run_dir / "eval.csv", run_id, eval_reports)
+    write_actions_csv(run_dir / "actions.csv", run_id, trainer.stage_action_counts)
     return run_dir

@@ -17,17 +17,15 @@ the very array its next experience stores as its state.
 
 from __future__ import annotations
 
-import json
 import logging
-from pathlib import Path
 
 import numpy as np
 
 from .agent import BATCH_SIZE, DqnAgent, Experience, ReplayBuffer
 from .domain import ActionRoster, KnowledgeBase
 from .env import DialogEnv, RewardConfig, encode_state
-from .errors import ContractViolation, FormatError, ShapeError
-from .nets import HeadSpec, LayerSpec, MlpModel, MlpSpec, TrainBatch, mlp_new
+from .errors import ContractViolation, ShapeError
+from .nets import HeadSpec, LayerSpec, MlpSpec, TrainBatch, mlp_new
 
 log = logging.getLogger(__name__)
 
@@ -101,16 +99,6 @@ class WorldModel:
             batch = TrainBatch(x, {"user_action": user_targets, "reward": rewards, "termination": dones})
             losses.append(self.net.train_minibatch(batch, self.learning_rate))
         return float(np.mean(losses))
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.net.to_json()), encoding="utf-8")
-
-    def load_net(self, path) -> None:
-        try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"world model checkpoint {path} is not valid JSON") from exc
-        self.net = MlpModel.from_json(obj)
 
 
 def plan(agent: DqnAgent, curiosity, world_model: WorldModel, goal_sampler,

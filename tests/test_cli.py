@@ -112,6 +112,30 @@ def test_train_out_of_range_exit_2(tmp_path, capsys, field, value):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    {"epochs": "8"},
+    {"epsilon": "0.1"},
+    {"goal_counts": {"x": 1}},
+    {"goal_counts": {"1": 2.5}},
+    {"epochs": True},
+    {"warm_start_dialogs": 5.0},
+    {"planning_dialogs_per_round": "2"},
+    {"eval_with_curiosity": 1},
+    {"out_dir": 3},
+    {"custom_schedules": {"UNUSED": ["easy", "easy"]}},
+    {"custom_schedules": {"UNUSED": "easy"}},
+])
+def test_train_mistyped_config_exit_2(tmp_path, capsys, overrides):
+    kb_path, goals_path = make_data(tmp_path)
+    config = tiny_train_config(tmp_path, kb_path, goals_path, **overrides)
+    rc = main(["train", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert next(iter(overrides)) in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_eval_subcommand(tmp_path, capsys):
     kb_path, goals_path = make_data(tmp_path)
     config = tiny_train_config(tmp_path, kb_path, goals_path)
@@ -177,6 +201,29 @@ def test_matrix_runs_and_summarizes(tmp_path, capsys):
     assert (tmp_path / "mruns" / "DQN_RANDOM_0").is_dir()
     assert (tmp_path / "mruns" / "S-DDQ_EMD_0").is_dir()
     assert "2/2 runs completed" in captured.out
+
+
+def test_matrix_cell_matches_train_on_its_config(tmp_path):
+    # matrix and train share one run writer: a cell's echoed config.json,
+    # rerun with train, gives the same run up to the run_id column
+    kb_path, goals_path = make_data(tmp_path)
+    spec = matrix_spec(tmp_path, kb_path, goals_path, ["S-DDQ"], ["EMD"], [0])
+    assert main(["matrix", "--config", str(spec), "--jobs", "1"]) == 0
+    cell = tmp_path / "mruns" / "S-DDQ_EMD_0"
+    seed = json.loads((cell / "config.json").read_text())["seed"]
+    assert main(["train", "--config", str(cell / "config.json")]) == 0
+    run = tmp_path / "mruns" / f"S-DDQ_EMD_{seed}"
+    assert run != cell
+    assert (run / "config.json").read_bytes() == (cell / "config.json").read_bytes()
+    for name in ("metrics.csv", "eval.csv", "actions.csv"):
+        rows = [(cell / name).read_text().splitlines(), (run / name).read_text().splitlines()]
+        assert [r.split(",")[0] for r in rows[0][1:]] == ["S-DDQ_EMD_0"] * (len(rows[0]) - 1)
+        assert [r.split(",")[0] for r in rows[1][1:]] == [run.name] * (len(rows[1]) - 1)
+        assert [r.split(",")[1:] for r in rows[0]] == [r.split(",")[1:] for r in rows[1]]
+    checkpoints = sorted(p.name for p in cell.glob("checkpoint_ep*.json"))
+    assert checkpoints == sorted(p.name for p in run.glob("checkpoint_ep*.json")) and checkpoints
+    for name in checkpoints:
+        assert (cell / name).read_bytes() == (run / name).read_bytes()
 
 
 def test_matrix_jobs_parallel_identical(tmp_path):

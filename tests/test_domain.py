@@ -15,11 +15,9 @@ from dialogrl.domain import (
     kb_query,
     load_goals,
     load_kb,
-    load_roster,
     normalize_value,
     save_goals,
     save_kb,
-    save_roster,
 )
 from dialogrl.errors import GenerationError, ParseError
 
@@ -65,15 +63,6 @@ def test_roster_index_ignores_attached_informs():
         Intent.REQUEST, {Slot.MOVIENAME: "midnight empire"}, (Slot.STARTTIME,)
     )
     assert roster.user_index(bare) == roster.user_index(carrying)
-
-
-def test_dialog_act_validation():
-    with pytest.raises(ParseError):
-        DialogAct(Intent.REQUEST).validate()
-    with pytest.raises(ParseError):
-        DialogAct(
-            Intent.REQUEST, {Slot.DATE: "today"}, (Slot.DATE,)
-        ).validate()
 
 
 def test_generate_kb_paper_size():
@@ -176,14 +165,6 @@ def test_kb_roundtrip(tmp_path):
     save_kb(kb, path)
     loaded = load_kb(path)
     assert loaded.to_json() == kb.to_json()
-
-
-def test_roster_roundtrip(tmp_path):
-    roster = default_roster()
-    path = tmp_path / "roster.json"
-    save_roster(roster, path)
-    loaded = load_roster(path)
-    assert loaded.to_json() == roster.to_json()
 
 
 def test_load_truncated_file(tmp_path):

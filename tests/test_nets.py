@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from dialogrl.agent import DqnAgent
 from dialogrl.nets import (
     HeadSpec,
     LayerSpec,
@@ -8,10 +11,8 @@ from dialogrl.nets import (
     MlpSpec,
     TrainBatch,
     analytic_gradient,
-    load_model,
     mlp_new,
     numerical_gradient,
-    save_model,
     single_head_spec,
 )
 from dialogrl.errors import FormatError, NumericError, ShapeError, SpecError
@@ -227,15 +228,13 @@ def test_non_finite_loss_raises():
         model.train_minibatch(batch)
 
 
-def test_checkpoint_roundtrip(tmp_path):
+def test_checkpoint_roundtrip():
     spec_info = random_multihead_spec(np.random.default_rng(6))
     model = mlp_new(spec_info[0], seed=3)
     rng = np.random.default_rng(9)
     for _ in range(5):
         model.train_minibatch(random_batch_for(spec_info, rng))
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    loaded = load_model(path)
+    loaded = MlpModel.from_json(json.loads(json.dumps(model.to_json())))
     assert np.array_equal(loaded.parameter_vector(), model.parameter_vector())
     x = rng.normal(size=(3, spec_info[1]))
     for name, out in model.forward(x).items():
@@ -247,36 +246,26 @@ def test_checkpoint_roundtrip(tmp_path):
 
 
 def test_checkpoint_truncated_file(tmp_path):
-    model = mlp_new(q_net_spec(), seed=0)
-    path = tmp_path / "model.json"
-    save_model(model, path)
+    agent = DqnAgent(state_dim=129, n_actions=29, seed=0)
+    path = tmp_path / "agent.json"
+    agent.save(path)
     path.write_text(path.read_text()[: 200])
     with pytest.raises(FormatError):
-        load_model(path)
+        DqnAgent.load(path)
 
 
-def test_checkpoint_spec_hash_mismatch(tmp_path):
-    import json
-
-    model = mlp_new(q_net_spec(), seed=0)
-    obj = model.to_json()
+def test_checkpoint_spec_hash_mismatch():
+    obj = mlp_new(q_net_spec(), seed=0).to_json()
     obj["spec_digest"] = "deadbeefdeadbeef"
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(obj))
     with pytest.raises(FormatError, match="deadbeef"):
-        load_model(path)
+        MlpModel.from_json(obj)
 
 
-def test_checkpoint_version_mismatch(tmp_path):
-    import json
-
-    model = mlp_new(q_net_spec(), seed=0)
-    obj = model.to_json()
+def test_checkpoint_version_mismatch():
+    obj = mlp_new(q_net_spec(), seed=0).to_json()
     obj["format_version"] = 99
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(obj))
     with pytest.raises(FormatError):
-        load_model(path)
+        MlpModel.from_json(obj)
 
 
 def test_clone_is_independent():

@@ -124,6 +124,15 @@ def test_config_unknown_field_rejected():
         RunConfig.from_json({"method": "DDQ", "mystery": 1})
 
 
+def test_config_from_json_accepts_int_floats_and_null_planning():
+    cfg = RunConfig.from_json({"epsilon": 0, "learning_rate": 1, "planning_dialogs_per_round": None,
+                               "goal_counts": {"1": 3, "4": 0},
+                               "custom_schedules": {"EEA": ["easy", "easy", "all", "all"]}})
+    assert (cfg.epsilon, cfg.learning_rate, cfg.planning_dialogs_per_round) == (0, 1, None)
+    assert cfg.goal_counts == {1: 3, 4: 0}
+    cfg.validate()
+
+
 def test_warm_start_bounds_and_determinism(data):
     kb, goals = data
     snapshots = []

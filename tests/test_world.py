@@ -4,8 +4,8 @@ import pytest
 from dialogrl.agent import DqnAgent, Experience, ReplayBuffer
 from dialogrl.curiosity import CuriosityModel
 from dialogrl.curriculum import build_buffers, sample_goal
-from dialogrl.domain import default_roster, generate_goal_set, generate_kb
-from dialogrl.env import MAX_TURN_BUCKETS, STATE_DIM, RewardConfig
+from dialogrl.domain import DEFAULT_GOAL_COUNTS, default_roster, generate_goal_set, generate_kb
+from dialogrl.env import MAX_TURN_BUCKETS, STATE_DIM, DialogEnv, RewardConfig, RuleAgent
 from dialogrl.errors import ContractViolation
 from dialogrl.world import WorldModel, encode_inputs, plan
 
@@ -270,3 +270,44 @@ def test_plan_replays_memorized_pattern():
          sim_buffer=sim, kb=kb, roster=roster, rng=np.random.default_rng(1))
     user_choices = {e.a_user for e in sim.snapshot()}
     assert user_choices == {fixed_user}
+
+
+def brute_force_count(kb, state):
+    constraints = {**state.user_informs, **state.accepted}
+    return sum(rec.matches(constraints) for rec in kb.records)
+
+
+def test_kb_match_count_tracks_constraints(planning_setup, monkeypatch):
+    # The tracker recounts KB matches only when its constraints change; the
+    # count must still equal a full scan after every real step and every
+    # planned turn. Accepted answers narrow the match set only on a KB
+    # large enough to hold near-duplicate records, hence the canonical sizes.
+    _, _, roster, agent, wm = planning_setup
+    kb = generate_kb(seed=7, n_movies=991)
+    buffers = build_buffers(generate_goal_set(kb, DEFAULT_GOAL_COUNTS, seed=3))
+    rng = np.random.default_rng(5)
+    env = DialogEnv(kb, roster, rng=rng)
+    rule_agent = RuleAgent(roster)
+    accepted = 0
+    for episode in range(60):
+        state, _ = env.reset(sample_goal(buffers, "all", rng))
+        assert state.kb_match_count == brute_force_count(kb, state)
+        while not env.done:
+            a = rule_agent.act(state) if episode % 2 else int(rng.integers(roster.n_agent_actions))
+            env.step(a)
+            assert state.kb_match_count == brute_force_count(kb, state)
+        accepted += len(state.accepted)
+    assert accepted > 0
+
+    planned = []
+    apply_user = DialogEnv.apply_simulated_user_act
+
+    def checked(self, template):
+        apply_user(self, template)
+        planned.append((self.state.kb_match_count, brute_force_count(kb, self.state)))
+
+    monkeypatch.setattr(DialogEnv, "apply_simulated_user_act", checked)
+    plan(agent, CuriosityModel(seed=2), wm, goal_sampler(buffers), rounds=2, dialogs_per_round=5,
+         sim_buffer=ReplayBuffer(kind="simulated"), kb=kb, roster=roster,
+         rng=np.random.default_rng(3))
+    assert planned and all(got == want for got, want in planned)
