@@ -4,8 +4,8 @@ Subcommands: gen-data (KB + goal files), train (one configured run),
 eval (re-evaluate a saved checkpoint), matrix (a method x schedule x seed
 grid of runs), report (paper-style tables from finished runs).
 
-Exit codes: 0 success, 2 usage or configuration problems, 3 runtime
-numeric failures.
+Exit codes: 0 success, 1 when a matrix cell fails, 2 usage or configuration
+problems, 3 runtime numeric failures.
 """
 
 from __future__ import annotations
@@ -150,22 +150,34 @@ def expand_matrix(spec: dict) -> list[tuple[RunConfig, int]]:
     """
     if not isinstance(spec, dict):
         raise ConfigError("matrix: expected a JSON object")
-    base = dict(spec.get("base", {}))
-    methods = spec.get("methods", [])
-    schedules = spec.get("schedules", [])
-    seeds = spec.get("seeds", [0])
-    master = int(spec.get("master_seed", 0))
+    base = spec.get("base", {})
+    if not isinstance(base, dict):
+        raise ConfigError(f"matrix: base must be an object, got {base!r}")
+    methods = _matrix_list(spec, "methods", [])
+    schedules = _matrix_list(spec, "schedules", [])
+    seeds = _matrix_list(spec, "seeds", [0])
+    master = spec.get("master_seed", 0)
+    for name, value in [("master_seed", master)] + [(f"seeds[{i}]", s) for i, s in enumerate(seeds)]:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"matrix: {name} must be an integer, got {value!r}")
     jobs = []
     for method in methods:
-        if method not in METHODS:
-            raise ConfigError(f"matrix: unknown method {method!r}")
+        if not isinstance(method, str) or method not in METHODS:
+            raise ConfigError(f"matrix: methods: unknown method {method!r}")
         pairs = [(method, s) for s in schedules] if method in SCHEDULED_METHODS else [(method, "RANDOM")]
         for method_name, schedule in pairs:
             for seed_index in seeds:
                 cfg = RunConfig.from_json({**base, "method": method_name, "schedule": schedule})
                 cfg.seed = derive_seed(master, method_name, schedule, seed_index) % (1 << 31)
-                jobs.append((cfg, int(seed_index)))
+                jobs.append((cfg, seed_index))
     return jobs
+
+
+def _matrix_list(spec: dict, key: str, default: list) -> list:
+    value = spec.get(key, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"matrix: {key} must be a list, got {value!r}")
+    return value
 
 
 def _matrix_worker(payload):

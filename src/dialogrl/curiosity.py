@@ -23,7 +23,7 @@ import logging
 
 import numpy as np
 
-from .agent import BATCH_SIZE, ReplayBuffer
+from .agent import Experience, ReplayBuffer, minibatch_rows, stack_rows, train_on_replay
 from .errors import ShapeError
 from .nets import HeadSpec, LayerSpec, MlpSpec, TrainBatch, mlp_new
 from .world import encode_inputs
@@ -105,23 +105,20 @@ class CuriosityModel:
         pre-update next-state head, taken from the training step's own
         forward pass, with no gradient flowing through it.
         """
-        pools = [b for b in (real_buffer, sim_buffer) if b is not None and len(b) > 0]
-        if not pools:
+        pools = [b for b in (real_buffer, sim_buffer) if b is not None]
+        if not any(pools):
             log.warning("curiosity update skipped: both buffers are empty")
             return None
-        sizes = np.array([len(b) for b in pools])
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
-        losses = []
-        for _ in range(n_batches):
-            flat = rng.integers(0, int(ends[-1]), size=BATCH_SIZE)
-            which = np.searchsorted(ends, flat, side="right")
-            exps = [pools[p][int(i)] for p, i in zip(which, flat - starts[which])]
-            x = encode_inputs(np.stack([e.s for e in exps]), [e.a for e in exps], self.n_agent_actions)
-            next_states = np.stack([e.s_next for e in exps])
-            batch = TrainBatch(x, {
-                "next_state": next_states,
-                "value": lambda out: ((next_states - out["next_state"]) ** 2).sum(axis=1, keepdims=True),
+        return float(np.mean(train_on_replay(self.net, pools, n_batches, rng,
+                                             self.learning_rate, self._minibatches)))
+
+    def _minibatches(self, exps: list[Experience]):
+        x = encode_inputs(stack_rows([e.s for e in exps]), [e.a for e in exps], self.n_agent_actions)
+        next_states = stack_rows([e.s_next for e in exps])
+        for rows in minibatch_rows(len(exps)):
+            target = next_states[rows]
+            yield TrainBatch(x[rows], {
+                "next_state": target,
+                "value": lambda out, target=target: ((target - out["next_state"]) ** 2).sum(
+                    axis=1, keepdims=True),
             })
-            losses.append(self.net.train_minibatch(batch, self.learning_rate))
-        return float(np.mean(losses))

@@ -298,7 +298,7 @@ class KnowledgeBase:
     def __len__(self) -> int:
         return len(self.records)
 
-    def _hits(self, constraints: dict[Slot, str]) -> set[int] | range:
+    def hits(self, constraints: dict[Slot, str]) -> set[int] | range:
         """Ids of the records matching every constraint, unordered; do not mutate."""
         if not constraints:
             return range(len(self.records))
@@ -314,14 +314,10 @@ class KnowledgeBase:
         return set.intersection(*sets)
 
     def match_ids(self, constraints: dict[Slot, str]) -> list[int]:
-        return sorted(self._hits(constraints))
+        return sorted(self.hits(constraints))
 
     def match_count(self, constraints: dict[Slot, str]) -> int:
-        return len(self._hits(constraints))
-
-    def first_match(self, constraints: dict[Slot, str]) -> MovieRecord | None:
-        hits = self._hits(constraints)
-        return self.records[min(hits)] if hits else None
+        return len(self.hits(constraints))
 
     def to_json(self) -> list:
         return [rec.to_json() for rec in self.records]

@@ -29,7 +29,6 @@ from .domain import (
     Slot,
     UserGoal,
     default_roster,
-    kb_query,
     normalize_value,
 )
 from .errors import ContractViolation, EnvSetupError
@@ -150,6 +149,7 @@ class DialogEnv:
         self.rng = rng
         self.goal: UserGoal | None = None
         self.state: DialogState | None = None
+        self._kb_hits: set[int] | range = range(0)  # ids matching the tracked constraints
         self.record_transcript = record_transcript
         self.transcript: list[dict] = []
         self._done = True
@@ -158,10 +158,11 @@ class DialogEnv:
     # ---- episode protocol -------------------------------------------------
 
     def reset(self, goal: UserGoal) -> tuple[DialogState, DialogAct]:
-        if not kb_query(self.kb, goal.inform_slots):
+        if self.kb.match_count(goal.inform_slots) == 0:
             raise EnvSetupError("goal constraints match no KB record")
         self.goal = goal
-        self.state = DialogState(kb_match_count=len(self.kb))  # no constraints yet
+        self._kb_hits = self.kb.hits({})  # no constraints yet
+        self.state = DialogState(kb_match_count=len(self._kb_hits))
         self.transcript = []
         self._done = False
         self._success = None
@@ -221,8 +222,8 @@ class DialogEnv:
             slot = next(iter(template.inform_slots))
             if slot == Slot.TASKCOMPLETE:
                 return DialogAct(Intent.INFORM, {Slot.TASKCOMPLETE: "booked"})
-            rec = self.kb.first_match(self._constraints())
-            value = rec.values[slot] if rec is not None else "no match available"
+            hits = self._kb_hits
+            value = self.kb.records[min(hits)].values[slot] if hits else "no match available"
             return DialogAct(Intent.INFORM, {slot: value})
         return DialogAct(template.intent)
 
@@ -354,9 +355,11 @@ class DialogEnv:
         return merged
 
     def _refresh_kb_count(self) -> None:
-        """Recount KB matches; called only where the constraints change (a
-        user inform of a goal slot, an accepted answer)."""
-        self.state.kb_match_count = self.kb.match_count(self._constraints())
+        """Requery the KB matches of the constraints, kept for agent informs;
+        called only where the constraints change (a user inform of a goal
+        slot, an accepted answer)."""
+        self._kb_hits = self.kb.hits(self._constraints())
+        self.state.kb_match_count = len(self._kb_hits)
 
     def _finish(self, success: bool) -> None:
         self._done = True

@@ -324,7 +324,8 @@ class MlpModel:
         shared_grads, head_grads = self._grad_views
         total_loss = 0.0
         outputs = {}
-        d_trunk = np.zeros_like(trunk)
+        has_trunk = bool(self.spec.shared)
+        d_trunk = np.zeros_like(trunk) if has_trunk else None
         for head in self.spec.heads:
             if head.name not in batch.targets:
                 if want_grads:
@@ -351,13 +352,14 @@ class MlpModel:
             total_loss += loss
             if not want_grads:
                 continue
-            d_trunk += self._backprop_stack(head.layers, self.head_params[head.name], acts, dz,
-                                            head_grads[head.name])
-        if not want_grads:
-            return total_loss, None
-        self._backprop_stack(self.spec.shared, self.shared_params, shared_acts, d_trunk,
-                             shared_grads, grad_is_dz=False)
-        return total_loss, self._grad
+            d_head = self._backprop_stack(head.layers, self.head_params[head.name], acts, dz,
+                                          head_grads[head.name], input_grad=has_trunk)
+            if has_trunk:
+                d_trunk += d_head
+        if want_grads and has_trunk:
+            self._backprop_stack(self.spec.shared, self.shared_params, shared_acts, d_trunk,
+                                 shared_grads, grad_is_dz=False, input_grad=False)
+        return total_loss, self._grad if want_grads else None
 
     @staticmethod
     def _head_loss(head: HeadSpec, y, acts, target, mask, n):
@@ -394,9 +396,10 @@ class MlpModel:
         raise SpecError(f"unknown loss '{kind}'")
 
     @staticmethod
-    def _backprop_stack(layers, params, acts, upstream, grads, grad_is_dz=True):
+    def _backprop_stack(layers, params, acts, upstream, grads, grad_is_dz=True, input_grad=True):
         """Walk a layer stack backwards, writing each layer's [weight, bias]
-        gradient into ``grads``; returns the gradient at the stack's input."""
+        gradient into ``grads``; returns the gradient at the stack's input, or
+        None without ``input_grad`` (the network's own input needs none)."""
         cursor = upstream
         for i in reversed(range(len(layers))):
             w, _ = params[i]
@@ -407,7 +410,7 @@ class MlpModel:
                 dz = cursor * _activation_grad_from_output(a_out, layers[i].activation)
             np.matmul(acts[i].T, dz, out=grads[i][0])
             dz.sum(axis=0, out=grads[i][1])
-            cursor = dz @ w.T
+            cursor = dz @ w.T if i or input_grad else None
         return cursor
 
     # ---- parameter plumbing --------------------------------------------------

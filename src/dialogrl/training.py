@@ -304,21 +304,25 @@ class Trainer:
     def _play_real_dialog(self, env: DialogEnv, goal: UserGoal, choose) -> tuple[list[int], float]:
         """Play one dialog into the real buffer; returns its actions and reward sum.
 
-        ``choose(state, state_vector) -> action index``.
+        ``choose(state, state_vector) -> action index``. Each state is encoded
+        once: a step's next-state row is the very array the next step stores
+        as its state.
         """
         state, _ = env.reset(goal)
         actions = []
         total = 0.0
+        s = encode_state(state)
         while not env.done:
-            s = encode_state(state)
             a = choose(state, s)
             outcome = env.step(a)
+            s_next = encode_state(state)
             self.real_buffer.append(
                 Experience(s, a, outcome.reward, self.roster.user_index(outcome.user_act),
-                           encode_state(state), outcome.done)
+                           s_next, outcome.done)
             )
             actions.append(a)
             total += outcome.reward
+            s = s_next
         return actions, total
 
     def warm_start(self) -> int:

@@ -21,7 +21,7 @@ import logging
 
 import numpy as np
 
-from .agent import BATCH_SIZE, DqnAgent, Experience, ReplayBuffer
+from .agent import DqnAgent, Experience, ReplayBuffer, minibatch_rows, stack_rows, train_on_replay
 from .domain import ActionRoster, KnowledgeBase
 from .env import DialogEnv, RewardConfig, encode_state
 from .errors import ContractViolation, ShapeError
@@ -88,17 +88,18 @@ class WorldModel:
         if len(real_buffer) == 0:
             log.warning("world model update skipped: real buffer is empty")
             return None
-        losses = []
-        for _ in range(n_batches):
-            exps = real_buffer.sample(BATCH_SIZE, rng)
-            x = encode_inputs(np.stack([e.s for e in exps]), [e.a for e in exps], self.n_agent_actions)
-            user_targets = np.zeros((len(exps), self.n_user_actions))
-            user_targets[np.arange(len(exps)), [e.a_user for e in exps]] = 1.0
-            rewards = np.array([[e.r] for e in exps], dtype=np.float64)
-            dones = np.array([[e.done] for e in exps], dtype=np.float64)
-            batch = TrainBatch(x, {"user_action": user_targets, "reward": rewards, "termination": dones})
-            losses.append(self.net.train_minibatch(batch, self.learning_rate))
-        return float(np.mean(losses))
+        return float(np.mean(train_on_replay(self.net, [real_buffer], n_batches, rng,
+                                             self.learning_rate, self._minibatches)))
+
+    def _minibatches(self, exps: list[Experience]):
+        x = encode_inputs(stack_rows([e.s for e in exps]), [e.a for e in exps], self.n_agent_actions)
+        user_targets = np.zeros((len(exps), self.n_user_actions))
+        user_targets[np.arange(len(exps)), [e.a_user for e in exps]] = 1.0
+        rewards = np.array([[e.r] for e in exps], dtype=np.float64)
+        dones = np.array([[e.done] for e in exps], dtype=np.float64)
+        for rows in minibatch_rows(len(exps)):
+            yield TrainBatch(x[rows], {"user_action": user_targets[rows], "reward": rewards[rows],
+                                       "termination": dones[rows]})
 
 
 def plan(agent: DqnAgent, curiosity, world_model: WorldModel, goal_sampler,

@@ -202,6 +202,41 @@ def test_batch_targets_terminal_and_bootstrap():
     assert mask[0, 1] == 1.0 and mask.sum() == 2.0
 
 
+@pytest.mark.parametrize("n_batches", [1, 6, 70])  # 70 spans three gathered chunks
+def test_update_matches_per_minibatch_reference(n_batches):
+    # Reference: sample, build targets with a 16-row target-net forward and
+    # step, one minibatch at a time.
+    import copy
+
+    from dialogrl.nets import TrainBatch
+
+    agent = DqnAgent(seed=4, learning_rate=0.01)
+    rng = np.random.default_rng(8)
+    buf = ReplayBuffer()
+    for i in range(300):
+        buf.append(make_exp(rng, done=i % 7 == 0))
+    agent.target_net.theta += rng.normal(0, 0.1, agent.target_net.theta.size)  # differ from the Q-net
+    ref_q, target = copy.deepcopy(agent.q_net), copy.deepcopy(agent.target_net)
+    loss = agent.update(buf, n_batches, np.random.default_rng(2))
+
+    ref_rng = np.random.default_rng(2)
+    losses = []
+    for _ in range(n_batches):
+        exps = [buf[int(i)] for i in ref_rng.integers(0, len(buf), size=16)]
+        best_next = target.forward(np.stack([e.s_next for e in exps]))["q"].max(axis=1)
+        targets, mask = np.zeros((16, 29)), np.zeros((16, 29))
+        for row, (e, b) in enumerate(zip(exps, best_next)):
+            targets[row, e.a] = e.r if e.done else e.r + 0.9 * b
+            mask[row, e.a] = 1.0
+        batch = TrainBatch(np.stack([e.s for e in exps]), {"q": targets}, {"q": mask})
+        losses.append(ref_q.train_minibatch(batch, 0.01))
+    assert loss == float(np.mean(losses))
+    assert agent.step_count == n_batches
+    assert agent.q_net.theta.tobytes() == ref_q.theta.tobytes()
+    assert agent.q_net.acc.tobytes() == ref_q.acc.tobytes()
+    assert agent.target_net.theta.tobytes() == target.theta.tobytes()
+
+
 def test_update_converges_to_fixed_point():
     agent = DqnAgent(state_dim=6, n_actions=4, hidden=8, gamma=0.9, seed=1, learning_rate=0.01)
     s = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])

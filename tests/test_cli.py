@@ -257,8 +257,30 @@ def test_matrix_records_failures_and_continues(tmp_path, capsys):
     spec.write_text(json.dumps(obj))
     rc = main(["matrix", "--config", str(spec), "--jobs", "1"])
     captured = capsys.readouterr()
-    assert rc != 0
+    assert rc == 1
     assert "FAIL" in captured.out
+
+
+@pytest.mark.parametrize("field, spec", [
+    ("seeds", {"methods": ["DQN"], "seeds": ["a"]}),
+    ("seeds", {"methods": ["DQN"], "seeds": [1.0]}),
+    ("seeds", {"methods": ["DQN"], "seeds": [True]}),
+    ("seeds", {"methods": ["DQN"], "seeds": 3}),
+    ("master_seed", {"methods": ["DQN"], "master_seed": "x"}),
+    ("master_seed", {"methods": ["DQN"], "master_seed": False}),
+    ("base", {"methods": ["DQN"], "base": [1, 2]}),
+    ("methods", {"methods": "DQN"}),
+    ("methods", {"methods": [["DQN"]]}),
+    ("schedules", {"methods": ["S-DDQ"], "schedules": "EMD"}),
+])
+def test_matrix_mistyped_config_exit_2(tmp_path, capsys, field, spec):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(spec))
+    rc = main(["matrix", "--config", str(path), "--jobs", "1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert field in err
 
 
 def test_report_subcommand(tmp_path, capsys):

@@ -117,28 +117,31 @@ def test_train_matches_two_pass_reference():
 
     from dialogrl.nets import TrainBatch
 
-    cm = tiny_cm(seed=10, lr=0.01)
-    ref = copy.deepcopy(cm.net)
     rng = np.random.default_rng(6)
     real, sim = ReplayBuffer(kind="real"), ReplayBuffer(kind="simulated")
     for buf, n in ((real, 13), (sim, 29)):
         for _ in range(n):
             buf.append(Experience(rand_state(rng), int(rng.integers(ACTIONS)), 0.0, 0,
                                   rand_state(rng), False))
-    loss = cm.train(real, sim, n_batches=6, rng=np.random.default_rng(2))
+    for n_batches in (6, 70):  # 70 spans three gathered chunks
+        cm = tiny_cm(seed=10, lr=0.01)
+        ref = copy.deepcopy(cm.net)
+        loss = cm.train(real, sim, n_batches=n_batches, rng=np.random.default_rng(2))
 
-    ref_rng = np.random.default_rng(2)
-    losses = []
-    for _ in range(6):
-        exps = []
-        for f in ref_rng.integers(0, len(real) + len(sim), size=16):
-            exps.append(real[int(f)] if f < len(real) else sim[int(f) - len(real)])
-        x = encode_inputs(np.stack([e.s for e in exps]), [e.a for e in exps], ACTIONS)
-        next_states = np.stack([e.s_next for e in exps])
-        err = ((next_states - ref.forward(x)["next_state"]) ** 2).sum(axis=1, keepdims=True)
-        losses.append(ref.train_minibatch(TrainBatch(x, {"next_state": next_states, "value": err}), 0.01))
-    assert loss == float(np.mean(losses))
-    assert cm.net.parameter_vector().tobytes() == ref.parameter_vector().tobytes()
+        ref_rng = np.random.default_rng(2)
+        losses = []
+        for _ in range(n_batches):
+            exps = []
+            for f in ref_rng.integers(0, len(real) + len(sim), size=16):
+                exps.append(real[int(f)] if f < len(real) else sim[int(f) - len(real)])
+            x = encode_inputs(np.stack([e.s for e in exps]), [e.a for e in exps], ACTIONS)
+            next_states = np.stack([e.s_next for e in exps])
+            err = ((next_states - ref.forward(x)["next_state"]) ** 2).sum(axis=1, keepdims=True)
+            losses.append(ref.train_minibatch(TrainBatch(x, {"next_state": next_states, "value": err}),
+                                              0.01))
+        assert loss == float(np.mean(losses))
+        assert cm.net.parameter_vector().tobytes() == ref.parameter_vector().tobytes()
+        assert cm.net.acc.tobytes() == ref.acc.tobytes()
 
 
 def test_curiosity_value_converges_on_single_transition():

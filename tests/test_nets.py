@@ -154,6 +154,19 @@ def test_gradients_match_finite_differences():
         assert rel.max() <= 1e-4, f"trial {trial}: max rel err {rel.max():.2e}"
 
 
+def test_gradients_without_trunk_match_finite_differences():
+    # A net with no shared layers (the Q-net's layout) skips its input gradient.
+    rng = np.random.default_rng(77)
+    for hidden in ([], [4], [5, 3]):
+        model = mlp_new(single_head_spec(6, hidden, 3, name="q"), seed=int(rng.integers(1 << 30)))
+        mask = np.zeros((5, 3))
+        mask[np.arange(5), rng.integers(0, 3, size=5)] = 1.0
+        batch = TrainBatch(rng.normal(size=(5, 6)), {"q": rng.normal(size=(5, 3))}, {"q": mask})
+        got = analytic_gradient(model, batch)
+        want = numerical_gradient(model, batch, h=1e-5)
+        assert (np.abs(got - want) / np.maximum(np.abs(want), 1.0)).max() <= 1e-4
+
+
 def test_training_converges_on_fixed_regression_batch():
     spec = single_head_spec(3, [8], 1, "linear", "mse")
     model = mlp_new(spec, seed=7)

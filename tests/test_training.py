@@ -6,7 +6,7 @@ import pytest
 from dialogrl.agent import DqnAgent
 from dialogrl.curriculum import build_buffers
 from dialogrl.domain import default_roster
-from dialogrl.env import RewardConfig, RuleAgent
+from dialogrl.env import RewardConfig, RuleAgent, encode_state
 from dialogrl.errors import ConfigError
 from dialogrl.seeding import spawn_rng
 from dialogrl.training import (
@@ -143,6 +143,30 @@ def test_warm_start_bounds_and_determinism(data):
         assert len(tr.real_buffer) == stored
         snapshots.append([(e.a, e.r, e.done) for e in tr.real_buffer.snapshot()])
     assert snapshots[0] == snapshots[1]
+
+
+def test_real_dialog_encodes_each_state_once(data):
+    # A step's next state is the very array the next step stores as its
+    # state, and every stored state is the tracker's encoding at that turn.
+    kb, goals = data
+    tr = Trainer(tiny_config(method="DQN", schedule="RANDOM"), kb, goals)
+    seen = []
+
+    def choose(state, s):
+        assert np.array_equal(s, encode_state(state))
+        seen.append(s)
+        return tr.rule_agent.act(state) if len(seen) % 3 else int(tr.rngs["explore"].integers(29))
+
+    for goal in goals[:6]:
+        start = len(tr.real_buffer)
+        actions, _ = tr._play_real_dialog(tr.env, goal, choose)
+        steps = [tr.real_buffer[i] for i in range(start, len(tr.real_buffer))]
+        assert len(steps) == len(actions) and steps[-1].done
+        assert all(not e.done for e in steps[:-1])
+        for prev, nxt in zip(steps, steps[1:]):
+            assert prev.s_next is nxt.s
+        assert np.array_equal(steps[-1].s_next, encode_state(tr.env.state))
+    assert all(e.s is s for e, s in zip((tr.real_buffer[i] for i in range(len(tr.real_buffer))), seen))
 
 
 def test_warm_start_on_easy_buffer_succeeds(data):

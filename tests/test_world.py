@@ -4,7 +4,8 @@ import pytest
 from dialogrl.agent import DqnAgent, Experience, ReplayBuffer
 from dialogrl.curiosity import CuriosityModel
 from dialogrl.curriculum import build_buffers, sample_goal
-from dialogrl.domain import DEFAULT_GOAL_COUNTS, default_roster, generate_goal_set, generate_kb
+from dialogrl.domain import (DEFAULT_GOAL_COUNTS, Intent, Slot, default_roster,
+                             generate_goal_set, generate_kb)
 from dialogrl.env import MAX_TURN_BUCKETS, STATE_DIM, DialogEnv, RewardConfig, RuleAgent
 from dialogrl.errors import ContractViolation
 from dialogrl.world import WorldModel, encode_inputs, plan
@@ -90,6 +91,33 @@ def test_world_model_memorizes_small_corpus():
     probs, _, _ = wm.predict(np.stack([e.s for e in exps]), [e.a for e in exps])
     hits = int((probs.argmax(axis=1) == [e.a_user for e in exps]).sum())
     assert hits / len(buf) >= 0.9
+
+
+@pytest.mark.parametrize("n_batches", [1, 6, 70])  # 70 spans three gathered chunks
+def test_train_matches_per_minibatch_reference(n_batches):
+    # Reference: sample, encode and step one minibatch at a time.
+    import copy
+
+    from dialogrl.nets import TrainBatch
+
+    wm = tiny_wm(seed=6, lr=0.01)
+    ref = copy.deepcopy(wm.net)
+    buf = corpus_buffer(np.random.default_rng(4), n=90)
+    loss = wm.train(buf, n_batches, np.random.default_rng(3))
+
+    ref_rng = np.random.default_rng(3)
+    losses = []
+    for _ in range(n_batches):
+        exps = [buf[int(i)] for i in ref_rng.integers(0, len(buf), size=16)]
+        user = np.zeros((16, USER))
+        user[np.arange(16), [e.a_user for e in exps]] = 1.0
+        batch = TrainBatch(encode_inputs(np.stack([e.s for e in exps]), [e.a for e in exps], ACTIONS),
+                           {"user_action": user, "reward": np.array([[e.r] for e in exps]),
+                            "termination": np.array([[float(e.done)] for e in exps])})
+        losses.append(ref.train_minibatch(batch, 0.01))
+    assert loss == float(np.mean(losses))
+    assert wm.net.theta.tobytes() == ref.theta.tobytes()
+    assert wm.net.acc.tobytes() == ref.acc.tobytes()
 
 
 def test_reward_head_learns_a_constant():
@@ -289,6 +317,22 @@ def test_kb_match_count_tracks_constraints(planning_setup, monkeypatch):
     env = DialogEnv(kb, roster, rng=rng)
     rule_agent = RuleAgent(roster)
     accepted = 0
+
+    # Every agent inform of a KB slot carries the lowest-id record's value.
+    informs = []
+    realize = DialogEnv.realize_agent_action
+
+    def checked_inform(self, action_index):
+        act = realize(self, action_index)
+        slot = next(iter(act.inform_slots), None)
+        if act.intent == Intent.INFORM and slot != Slot.TASKCOMPLETE:
+            constraints = {**self.state.user_informs, **self.state.accepted}
+            first = next((rec for rec in kb.records if rec.matches(constraints)), None)
+            informs.append((act.inform_slots[slot],
+                            first.values[slot] if first is not None else "no match available"))
+        return act
+
+    monkeypatch.setattr(DialogEnv, "realize_agent_action", checked_inform)
     for episode in range(60):
         state, _ = env.reset(sample_goal(buffers, "all", rng))
         assert state.kb_match_count == brute_force_count(kb, state)
@@ -311,3 +355,4 @@ def test_kb_match_count_tracks_constraints(planning_setup, monkeypatch):
          sim_buffer=ReplayBuffer(kind="simulated"), kb=kb, roster=roster,
          rng=np.random.default_rng(3))
     assert planned and all(got == want for got, want in planned)
+    assert len(informs) > 100 and all(got == want for got, want in informs)
