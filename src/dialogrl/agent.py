@@ -67,9 +67,6 @@ class ReplayBuffer:
     def __getitem__(self, i: int) -> Experience:
         return self._items[i]
 
-    def snapshot(self) -> list[Experience]:
-        return list(self._items)
-
 
 def stack_rows(rows: list[np.ndarray]) -> np.ndarray:
     """``np.stack`` of equal-length 1-D arrays, without its view per row (a

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .curriculum import strategy_of
 from .errors import AnalysisError
 
 N_AGENT_ACTIONS = 29
+RUN_FILES = ("config.json", "eval.csv", "actions.csv")  # what a report reads of a run dir
 
 # canonical table row order: random methods, then EFS, then DFS
 _CONDITION_ORDER = (
@@ -115,11 +117,8 @@ class RunArtifacts:
         return entropy(action_distribution(counts, stage))
 
 
-def load_run_dir(run_dir: Path) -> RunArtifacts | None:
+def load_run_dir(run_dir: Path) -> RunArtifacts:
     run_dir = Path(run_dir)
-    needed = [run_dir / n for n in ("config.json", "eval.csv", "actions.csv")]
-    if not all(p.exists() for p in needed):
-        return None
     config = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
     success, turns = {}, {}
     with open(run_dir / "eval.csv", newline="", encoding="utf-8") as fh:
@@ -145,12 +144,16 @@ def load_run_dir(run_dir: Path) -> RunArtifacts | None:
 
 
 def discover_runs(runs_dir) -> list[RunArtifacts]:
+    """Every complete run directory under ``runs_dir``; each incomplete one
+    is named on stderr with the files it lacks."""
     runs = []
     for child in sorted(Path(runs_dir).iterdir()):
         if child.is_dir():
-            run = load_run_dir(child)
-            if run is not None:
-                runs.append(run)
+            missing = [name for name in RUN_FILES if not (child / name).exists()]
+            if missing:
+                print(f"skipped {child}: no {', '.join(missing)}", file=sys.stderr)
+            else:
+                runs.append(load_run_dir(child))
     return runs
 
 

@@ -14,6 +14,7 @@ import argparse
 import json
 import logging
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -181,15 +182,25 @@ def _matrix_list(spec: dict, key: str, default: list) -> list:
 
 
 def _matrix_worker(payload):
+    """Run one cell; a failure leaves its traceback in ``<out_dir>/<run_id>/error.txt``."""
     obj, display_seed = payload
     config = RunConfig.from_json(obj)
+    # the directory and the run_id column carry the human-readable seed
+    # index; the echoed config keeps the derived seed
+    run_id = f"{config.method}_{config.schedule}_{display_seed}"
+    error_path = Path(config.out_dir) / run_id / "error.txt"
     try:
-        # the directory and the run_id column carry the human-readable seed
-        # index; the echoed config keeps the derived seed
-        run_dir = run_experiment(config, run_id=f"{config.method}_{config.schedule}_{display_seed}")
-        return (config.method, config.schedule, display_seed, str(run_dir), None)
+        run_dir = run_experiment(config, run_id=run_id)
     except Exception as exc:  # record the failure, let the driver aggregate
-        return (config.method, config.schedule, display_seed, None, repr(exc))
+        error = f"{type(exc).__name__}: {exc}"
+        try:
+            error_path.parent.mkdir(parents=True, exist_ok=True)
+            error_path.write_text(traceback.format_exc(), encoding="utf-8")
+            return run_id, None, f"{error} (traceback in {error_path})"
+        except OSError as write_exc:
+            return run_id, None, f"{error} (traceback not written: {write_exc})"
+    error_path.unlink(missing_ok=True)  # left by an earlier failure of this cell
+    return run_id, str(run_dir), None
 
 
 def cmd_matrix(args) -> int:
@@ -210,12 +221,12 @@ def cmd_matrix(args) -> int:
     else:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_matrix_worker, payloads))
-    for method, schedule, seed, run_dir, error in results:
+    for run_id, run_dir, error in results:
         if error is None:
-            print(f"ok   {method}_{schedule}_{seed} -> {run_dir}")
+            print(f"ok   {run_id} -> {run_dir}")
         else:
             failures += 1
-            print(f"FAIL {method}_{schedule}_{seed}: {error}")
+            print(f"FAIL {run_id}: {error}")
     print(f"{len(results) - failures}/{len(results)} runs completed")
     return EXIT_OK if failures == 0 else 1
 

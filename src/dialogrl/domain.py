@@ -294,6 +294,9 @@ class KnowledgeBase:
         for i, rec in enumerate(self.records):
             for slot, value in rec.values.items():
                 self._index.setdefault((slot, normalize_value(value)), set()).add(i)
+        # (slot, value as queried) -> its index entry, so each distinct value
+        # is normalized once; queried values come from the goals and the KB
+        self._lookup: dict[tuple[Slot, str], set[int]] = {}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -303,8 +306,10 @@ class KnowledgeBase:
         if not constraints:
             return range(len(self.records))
         sets = []
-        for slot, value in constraints.items():
-            ids = self._index.get((slot, normalize_value(value)))
+        for key in constraints.items():
+            ids = self._lookup.get(key)
+            if ids is None:
+                ids = self._lookup[key] = self._index.get((key[0], normalize_value(key[1])), set())
             if not ids:
                 return set()
             sets.append(ids)

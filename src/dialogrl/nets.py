@@ -438,9 +438,6 @@ class MlpModel:
         twin.step_count = self.step_count
         return twin
 
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.theta).all())
-
     # ---- checkpoint format -----------------------------------------------------
 
     def to_json(self) -> dict:

@@ -203,6 +203,22 @@ def test_build_report_single_run_correlation_undefined(tmp_path):
     assert all(row["r"] == "" and int(row["n"]) == 1 for row in corr)
 
 
+def test_report_names_skipped_run_dirs(tmp_path, capsys):
+    from dialogrl.cli import main
+
+    runs = tmp_path / "runs"
+    synth_run(runs, "DDQ", "RANDOM", 1, [0.2, 0.4, 0.6, 0.8], 2)
+    (synth_run(runs, "DQN", "RANDOM", 2, [0.1, 0.2, 0.3, 0.4], 2) / "config.json").unlink()
+    rc = main(["report", "--runs", str(runs), "--out", str(tmp_path / "report")])
+    err = capsys.readouterr().err
+    assert rc == 0
+    assert f"skipped {runs / 'DQN_RANDOM_2'}: no config.json" in err
+    assert "DDQ_RANDOM_1" not in err
+    assert [r.run_id for r in discover_runs(runs)] == ["DDQ_RANDOM_1"]
+    table4 = list(csv.reader(open(tmp_path / "report" / "table4.csv")))
+    assert [row[1] for row in table4[1:]] == ["DDQ"]
+
+
 def test_build_report_empty_dir_errors(tmp_path):
     (tmp_path / "runs").mkdir()
     with pytest.raises(AnalysisError):

@@ -261,6 +261,38 @@ def test_matrix_records_failures_and_continues(tmp_path, capsys):
     assert "FAIL" in captured.out
 
 
+def test_matrix_failed_cell_writes_traceback(tmp_path, capsys, monkeypatch):
+    from dialogrl.errors import NumericError
+    from dialogrl.training import Trainer
+
+    kb_path, goals_path = make_data(tmp_path)
+    spec = matrix_spec(tmp_path, kb_path, goals_path, ["DQN", "DDQ"], [], [0])
+    real_epoch = Trainer.run_epoch
+
+    def run_epoch(self, epoch):
+        if self.config.method == "DDQ" and epoch == 2:
+            raise NumericError("non-finite loss (forced)")
+        return real_epoch(self, epoch)
+
+    monkeypatch.setattr(Trainer, "run_epoch", run_epoch)
+    rc = main(["matrix", "--config", str(spec), "--jobs", "1"])
+    out = capsys.readouterr().out
+    error_path = tmp_path / "mruns" / "DDQ_RANDOM_0" / "error.txt"
+    assert rc == 1
+    text = error_path.read_text()
+    assert text.startswith("Traceback") and "in run_epoch" in text
+    assert text.rstrip().endswith("NumericError: non-finite loss (forced)")
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        f"FAIL DDQ_RANDOM_0: NumericError: non-finite loss (forced) (traceback in {error_path})"]
+    assert "ok   DQN_RANDOM_0" in out
+    assert not (tmp_path / "mruns" / "DQN_RANDOM_0" / "error.txt").exists()
+
+    # once the cell runs through, its stale traceback goes
+    monkeypatch.setattr(Trainer, "run_epoch", real_epoch)
+    assert main(["matrix", "--config", str(spec), "--jobs", "1"]) == 0
+    assert not error_path.exists()
+
+
 @pytest.mark.parametrize("field, spec", [
     ("seeds", {"methods": ["DQN"], "seeds": ["a"]}),
     ("seeds", {"methods": ["DQN"], "seeds": [1.0]}),

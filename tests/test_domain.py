@@ -108,6 +108,28 @@ def test_kb_query_matches_brute_force_oracle():
         assert rec in got
 
 
+def test_hits_matches_record_scan_on_messy_values():
+    # Spellings of one value that differ in case and surrounding whitespace
+    # each hit what a scan with MovieRecord.matches finds, on first and on
+    # repeated queries.
+    import numpy as np
+
+    kb = generate_kb(seed=11, n_movies=200)
+    rng = np.random.default_rng(1)
+    messy = [str.upper, str.title, lambda v: f"  {v}\t", lambda v: f" {v.upper()} ", str]
+    for _ in range(60):
+        rec = kb.records[int(rng.integers(len(kb)))]
+        slots = [INFORMABLE_SLOTS[i] for i in rng.permutation(len(INFORMABLE_SLOTS))[: int(rng.integers(1, 4))]]
+        constraints = {s: messy[int(rng.integers(len(messy)))](rec.values[s]) for s in slots}
+        if rng.random() < 0.2:
+            constraints[slots[0]] = " No Such Value "
+        for _ in range(2):
+            want = {i for i, r in enumerate(kb.records) if r.matches(constraints)}
+            assert set(kb.hits(constraints)) == want
+            assert kb.match_count(constraints) == len(want)
+    assert set(kb.hits({})) == set(range(len(kb)))
+
+
 def test_kb_query_record_containing_pair():
     kb = generate_kb(seed=5, n_movies=60)
     rec = kb.records[17]

@@ -100,14 +100,14 @@ def test_curiosity_debug_line_costs_nothing_when_off(data, monkeypatch, caplog, 
     calls = []
     real_values = CuriosityModel.values
     monkeypatch.setattr(CuriosityModel, "values",
-                        lambda self, s: calls.append(1) or real_values(self, s))
+                        lambda self, s: calls.append(len(np.atleast_2d(s))) or real_values(self, s))
     monkeypatch.setattr(training, "plan", lambda *args, **kwargs: 0)
     caplog.set_level(logging.DEBUG if debug else logging.INFO, logger="dialogrl.training")
     tr = Trainer(tiny_config(), *data)
     tr.warm_start()
     rep = tr.run_epoch(0)
-    # one bonus per real step, plus the debug line's pass only when it is logged
-    assert len(calls) == int(rep.action_counts.sum()) + int(debug)
+    # one bonus row per real step, plus the debug line's row only when it is logged
+    assert sum(calls) == int(rep.action_counts.sum()) + int(debug)
     assert ("mean curiosity" in caplog.text) == debug
 
 
@@ -141,32 +141,153 @@ def test_warm_start_bounds_and_determinism(data):
         stored = tr.warm_start()
         assert 0 < stored <= tiny_config().warm_start_dialogs * 40
         assert len(tr.real_buffer) == stored
-        snapshots.append([(e.a, e.r, e.done) for e in tr.real_buffer.snapshot()])
+        snapshots.append([(e.a, e.r, e.done) for e in tr.real_buffer])
     assert snapshots[0] == snapshots[1]
 
 
-def test_real_dialog_encodes_each_state_once(data):
+def test_real_dialog_encodes_each_state_once(data, monkeypatch):
     # A step's next state is the very array the next step stores as its
-    # state, and every stored state is the tracker's encoding at that turn.
+    # state, every stored state is the tracker's encoding at that turn, and
+    # the loop encodes one state per dialog and per step.
+    import dialogrl.training as training
+
     kb, goals = data
     tr = Trainer(tiny_config(method="DQN", schedule="RANDOM"), kb, goals)
-    seen = []
+    real_encode = training.encode_state
+    encodings = []
+    monkeypatch.setattr(training, "encode_state",
+                        lambda state: encodings.append(1) or real_encode(state))
+    seen = {}
 
-    def choose(state, s):
-        assert np.array_equal(s, encode_state(state))
-        seen.append(s)
-        return tr.rule_agent.act(state) if len(seen) % 3 else int(tr.rngs["explore"].integers(29))
+    def choose(envs, s):
+        assert s.shape == (len(envs), 129)
+        picks = []
+        for env, row in zip(envs, s):
+            assert np.array_equal(row, real_encode(env.state))
+            seen.setdefault(id(env), []).append(row.copy())
+            n = sum(len(rows) for rows in seen.values())
+            picks.append(tr.rule_agent.act(env.state) if n % 3 else int(tr.rngs["explore"].integers(29)))
+        return picks
 
-    for goal in goals[:6]:
-        start = len(tr.real_buffer)
-        actions, _ = tr._play_real_dialog(tr.env, goal, choose)
-        steps = [tr.real_buffer[i] for i in range(start, len(tr.real_buffer))]
-        assert len(steps) == len(actions) and steps[-1].done
-        assert all(not e.done for e in steps[:-1])
+    envs, dialogs = tr._play_real_dialogs(6, "all", tr.rngs["goals"], tr.rngs["env"], choose)
+    n_steps = sum(len(steps) for steps in dialogs)
+    assert len(tr.real_buffer) == n_steps and len(encodings) == len(envs) + n_steps
+    start = 0
+    for env, steps in zip(envs, dialogs):
+        assert all(tr.real_buffer[start + k] is e for k, e in enumerate(steps))
+        assert steps[-1].done and all(not e.done for e in steps[:-1])
         for prev, nxt in zip(steps, steps[1:]):
             assert prev.s_next is nxt.s
-        assert np.array_equal(steps[-1].s_next, encode_state(tr.env.state))
-    assert all(e.s is s for e, s in zip((tr.real_buffer[i] for i in range(len(tr.real_buffer))), seen))
+        assert np.array_equal(steps[-1].s_next, real_encode(env.state))
+        assert len(seen[id(env)]) == len(steps)
+        assert all(np.array_equal(e.s, row) for e, row in zip(steps, seen[id(env)]))
+        start += len(steps)
+
+
+def _transitions(buf):
+    return [(e.s.tobytes(), e.a, e.r, e.a_user, e.s_next.tobytes(), e.done) for e in buf]
+
+
+@pytest.mark.parametrize("method, schedule, capacity", [("SC-DDQ", "EMD", 5000), ("DDQ", "RANDOM", 40)])
+def test_warm_start_matches_sequential_reference(data, method, schedule, capacity):
+    # Lockstep warm start stores what playing one dialog at a time stores,
+    # FIFO evictions included, and pretrains the Q-net to the same bits.
+    from dialogrl.agent import Experience
+    from dialogrl.curriculum import sample_goal
+    from dialogrl.env import DialogEnv
+
+    kb, goals = data
+    cfg = tiny_config(method=method, schedule=schedule, warm_start_dialogs=12,
+                      buffer_capacity=capacity)
+    tr = Trainer(cfg, kb, goals)
+    stored = tr.warm_start()
+
+    ref = Trainer(cfg, kb, goals)
+    warm = ref.rngs["warm"]
+    env = DialogEnv(kb, ref.roster, ref.rewards, rng=warm)
+    total = 0
+    for _ in range(cfg.warm_start_dialogs):
+        state, _ = env.reset(sample_goal(ref.buffers, ref.level_for_epoch(0), warm))
+        while not env.done:
+            s, a = encode_state(state), ref.rule_agent.act(state)
+            out = env.step(a)
+            ref.real_buffer.append(Experience(s, a, out.reward, ref.roster.user_index(out.user_act),
+                                              encode_state(state), out.done))
+            total += 1
+    for _ in range(cfg.warm_start_updates):
+        ref.agent.update(ref.real_buffer, n_batches=1, rng=ref.rngs["warm-train"])
+    ref.agent.sync_target()
+
+    assert stored == total and len(tr.real_buffer) == min(total, capacity)
+    assert _transitions(tr.real_buffer) == _transitions(ref.real_buffer)
+    assert tr.agent.q_net.theta.tobytes() == ref.agent.q_net.theta.tobytes()
+    assert tr.agent.target_net.theta.tobytes() == ref.agent.target_net.theta.tobytes()
+    if capacity < 5000:
+        assert total > capacity  # evictions happened
+
+
+def test_real_dialogs_contiguous_in_dialog_order(data):
+    # run_epoch's dialogs draw their goals in dialog order, and each one's
+    # transitions sit together in the buffer, in that same order.
+    from dialogrl.curriculum import sample_goal
+
+    kb, goals = data
+    cfg = tiny_config(method="C-DDQ", schedule="RANDOM", real_dialogs_per_epoch=6, epsilon=0.5)
+    tr = Trainer(cfg, kb, goals)
+    tr.warm_start()
+    played = []
+    real_play = tr._play_real_dialogs
+    tr._play_real_dialogs = lambda *args: played.append(real_play(*args)) or played[-1]
+    rep = tr.run_epoch(0)
+    (envs, dialogs), = played
+    buffers, goal_rng = build_buffers(goals), spawn_rng(cfg.seed, "goals")
+    assert all(env.goal is sample_goal(buffers, rep.level, goal_rng) for env in envs)
+    assert len({len(steps) for steps in dialogs}) > 1  # dialogs end on different turns
+    n = sum(len(steps) for steps in dialogs)
+    newest = [tr.real_buffer[i] for i in range(len(tr.real_buffer) - n, len(tr.real_buffer))]
+    assert all(a is b for a, b in zip(newest, (e for steps in dialogs for e in steps)))
+    for env, steps in zip(envs, dialogs):
+        assert [e.done for e in steps] == [False] * (len(steps) - 1) + [True]
+        assert np.array_equal(steps[-1].s_next, encode_state(env.state))
+
+
+@pytest.mark.parametrize("method, schedule", [("DQN", "RANDOM"), ("SC-DDQ", "EMD")])
+def test_run_epoch_deterministic_across_trainers(data, method, schedule):
+    runs = []
+    for _ in range(2):
+        tr = Trainer(tiny_config(method=method, schedule=schedule), *data)
+        tr.warm_start()
+        reports = [tr.run_epoch(e) for e in range(3)]
+        runs.append(([(r.train_success, r.mean_reward, r.action_counts.tolist(), r.dqn_loss,
+                       r.world_loss, r.curiosity_loss, r.sim_buffer_size) for r in reports],
+                     _transitions(tr.real_buffer), _transitions(tr.sim_buffer),
+                     tr.agent.q_net.theta.tobytes()))
+    assert runs[0] == runs[1]
+
+
+def test_epoch_report_matches_newest_transitions(data):
+    # Action counts, wins and mean reward recomputed from the epoch's own
+    # transitions; the last epoch books with the scripted agent on easy
+    # goals, so its wins are certain.
+    kb, goals = data
+    cfg = tiny_config(real_dialogs_per_epoch=6, epsilon=0.5)
+    tr = Trainer(cfg, kb, goals)
+    tr.warm_start()
+    for epoch in range(3):
+        if epoch == 2:
+            tr._select = lambda envs, s: [tr.rule_agent.act(env.state) for env in envs]
+        rep = tr.run_epoch(epoch)
+        n = int(rep.action_counts.sum())
+        newest = [tr.real_buffer[i] for i in range(len(tr.real_buffer) - n, len(tr.real_buffer))]
+        assert np.array_equal(rep.action_counts, np.bincount([e.a for e in newest], minlength=29))
+        ends = [i for i, e in enumerate(newest) if e.done]
+        assert len(ends) == cfg.real_dialogs_per_epoch and ends[-1] == n - 1
+        starts = [0] + [i + 1 for i in ends[:-1]]
+        totals = [sum(e.r for e in newest[a: b + 1]) for a, b in zip(starts, ends)]
+        assert rep.mean_reward == float(np.mean(totals))
+        wins = sum(newest[b].r == 2 * cfg.max_turns - 1 for b in ends)
+        assert rep.train_success == wins / cfg.real_dialogs_per_epoch
+    assert rep.train_success == 1.0
 
 
 def test_warm_start_on_easy_buffer_succeeds(data):
@@ -175,7 +296,7 @@ def test_warm_start_on_easy_buffer_succeeds(data):
     # so every warm episode ends with the success bonus.
     tr = Trainer(tiny_config(), kb, goals)
     tr.warm_start()
-    terminal_rewards = [e.r for e in tr.real_buffer.snapshot() if e.done]
+    terminal_rewards = [e.r for e in tr.real_buffer if e.done]
     assert terminal_rewards and all(r == 79.0 for r in terminal_rewards)
 
 
@@ -234,7 +355,7 @@ def test_buffer_segregation(data):
     assert tr.sim_buffer.kind == "simulated"
     # simulated rewards come from the world model head: continuous values,
     # while real rewards live on the exact -1/+79/-41 lattice
-    real_rewards = {e.r for e in tr.real_buffer.snapshot()}
+    real_rewards = {e.r for e in tr.real_buffer}
     assert all(r in (-1.0, 79.0, -41.0) for r in real_rewards)
 
 

@@ -87,7 +87,7 @@ def test_world_model_memorizes_small_corpus():
     train_rng = np.random.default_rng(0)
     losses = [wm.train(buf, n_batches=10, rng=train_rng) for _ in range(50)]
     assert all(np.isfinite(l) for l in losses)
-    exps = buf.snapshot()
+    exps = list(buf)
     probs, _, _ = wm.predict(np.stack([e.s for e in exps]), [e.a for e in exps])
     hits = int((probs.argmax(axis=1) == [e.a_user for e in exps]).sum())
     assert hits / len(buf) >= 0.9
@@ -130,7 +130,7 @@ def test_reward_head_learns_a_constant():
     train_rng = np.random.default_rng(1)
     for _ in range(60):
         wm.train(buf, n_batches=5, rng=train_rng)
-    exps = buf.snapshot()
+    exps = list(buf)
     preds = wm.predict(np.stack([e.s for e in exps]), [e.a for e in exps])[1]
     assert max(abs(p - 3.25) for p in preds) <= 0.1
 
@@ -177,7 +177,7 @@ def test_plan_bounded_by_turn_cap(planning_setup):
     assert 0 < n <= 2 * 40
     assert len(sim) == n
     # every stored step is marked done by threshold or cap; episodes end
-    dones = [e.done for e in sim.snapshot()]
+    dones = [e.done for e in sim]
     assert dones[-1] is True or dones[-1] == True  # noqa: E712 - numpy bool tolerated
 
 
@@ -204,7 +204,7 @@ def test_plan_deterministic(planning_setup):
         sim = ReplayBuffer(kind="simulated")
         plan(agent, None, wm, goal_sampler(buffers), rounds=1, dialogs_per_round=3,
              sim_buffer=sim, kb=kb, roster=roster, rng=np.random.default_rng(11))
-        traces.append([(e.a, e.a_user, e.r, e.done) for e in sim.snapshot()])
+        traces.append([(e.a, e.a_user, e.r, e.done) for e in sim])
     assert traces[0] == traces[1]
 
 
@@ -240,7 +240,7 @@ def test_plan_with_curiosity_deterministic(planning_setup):
         sim = ReplayBuffer(kind="simulated")
         plan_with_curiosity(planning_setup, sim, 4)
         traces.append([(e.s.tobytes(), e.a, e.r, e.a_user, e.s_next.tobytes(), e.done)
-                       for e in sim.snapshot()])
+                       for e in sim])
     assert traces[0] == traces[1]
 
 
@@ -252,7 +252,7 @@ def test_plan_with_curiosity_rollouts_are_consistent(planning_setup):
     max_turns = 6
     n = plan_with_curiosity(planning_setup, sim, 5, max_turns)
     assert n == len(sim) - 1 and sim[0] is old
-    exps = iter(sim.snapshot()[1:])
+    exps = iter(list(sim)[1:])
     runs = rollouts(exps, 5) + rollouts(exps, 5)
     assert next(exps, None) is None
     ended_by_model = ended_by_cap = 0
@@ -296,7 +296,7 @@ def test_plan_replays_memorized_pattern():
     sim = ReplayBuffer(kind="simulated")
     plan(agent, None, wm, goal_sampler(buffers), rounds=1, dialogs_per_round=1,
          sim_buffer=sim, kb=kb, roster=roster, rng=np.random.default_rng(1))
-    user_choices = {e.a_user for e in sim.snapshot()}
+    user_choices = {e.a_user for e in sim}
     assert user_choices == {fixed_user}
 
 
