@@ -90,13 +90,6 @@ class CuriosityModel:
         x = encode_inputs(tiled, np.arange(self.n_agent_actions), self.n_agent_actions)
         return self.values(s)[0], self.net.forward(x)["next_state"]
 
-    def prediction_error(self, s, a, s_next) -> float:
-        """Squared distance between the true and predicted next encodings."""
-        x = encode_inputs(s, [a], self.n_agent_actions)
-        pred = self.net.forward(x)["next_state"][0]
-        diff = np.asarray(s_next, dtype=np.float64) - pred
-        return float(diff @ diff)
-
     def train(self, real_buffer: ReplayBuffer | None, sim_buffer: ReplayBuffer | None,
               n_batches: int, rng: np.random.Generator) -> float | None:
         """Minibatches over the concatenation of both buffers.

@@ -144,7 +144,6 @@ class ActionRoster:
     def __init__(self, agent_actions, user_actions):
         self.agent_actions = list(agent_actions)
         self.user_actions = list(user_actions)
-        self._agent_lookup = {self._key(a): i for i, a in enumerate(self.agent_actions)}
         self._user_lookup = {self._key(a): i for i, a in enumerate(self.user_actions)}
 
     @property
@@ -166,9 +165,6 @@ class ActionRoster:
             topic = next(iter(act.inform_slots))
             return (Intent.INFORM, topic)
         return (act.intent,)
-
-    def agent_index(self, act: DialogAct) -> int:
-        return self._agent_lookup[self._key(act)]
 
     def user_index(self, act: DialogAct) -> int:
         return self._user_lookup[self._key(act)]

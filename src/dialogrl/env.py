@@ -463,24 +463,6 @@ def write_transcript(transcript: list[dict], path) -> None:
             fh.write(json.dumps(line) + "\n")
 
 
-def read_transcript(path) -> list[dict]:
-    import json
-
-    from .errors import ParseError
-
-    lines = []
-    with open(path, encoding="utf-8") as fh:
-        for i, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                lines.append(json.loads(raw))
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"transcript {path} line {i}: {exc.msg}") from exc
-    return lines
-
-
 # Fixed templates for human-readable log renderings only; never parsed back.
 _INTENT_TEMPLATES = {
     Intent.CONFIRM_QUESTION: "Anything else I should know?",

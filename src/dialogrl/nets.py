@@ -418,9 +418,6 @@ class MlpModel:
     def parameter_vector(self) -> np.ndarray:
         return self.theta.copy()
 
-    def n_parameters(self) -> int:
-        return self.theta.size
-
     def set_parameter_vector(self, vec: np.ndarray) -> None:
         vec = np.asarray(vec, dtype=np.float64)
         if vec.size != self.theta.size:

@@ -11,6 +11,12 @@ The real dialogs of an epoch, and the warm start's scripted ones, advance in
 lockstep through one loop: each turn makes one batched Q forward (and, with
 curiosity, one batched value pass) over the dialogs still running, while
 every dialog steps its own env against the user simulator.
+
+With at least two planning rounds and two CPUs, a Trainer forks one worker
+process at its first planning call, which plays the odd rounds of every
+``plan`` call (see ``world.PlanWorker``); run outputs stay byte-identical.
+``close`` (called at the end of ``run``, on errors, and when the Trainer is
+collected) ends it; a pickled Trainer leaves it behind.
 """
 
 from __future__ import annotations
@@ -19,7 +25,9 @@ import csv
 import json
 import logging
 import math
+import weakref
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +58,7 @@ from .domain import (
 from .env import DialogEnv, RewardConfig, RuleAgent, encode_state
 from .errors import ConfigError
 from .seeding import spawn_rng
-from .world import WorldModel, plan
+from .world import PlanWorker, WorldModel, can_plan_in_parallel, plan, play_round
 
 log = logging.getLogger(__name__)
 
@@ -291,6 +299,10 @@ class Trainer:
         self.epoch_reports: list[EpochReport] = []
         self.eval_reports: list[EvalReport] = []
         self._warm_started = False
+        self._worker: PlanWorker | None = None  # plays every other planning round
+
+    def __getstate__(self):
+        return {**self.__dict__, "_worker": None}
 
     def level_for_epoch(self, epoch: int) -> str:
         return self._levels[stage_index(epoch, self.config.epochs) - 1]
@@ -395,12 +407,17 @@ class Trainer:
             ops.append("plan")
             dialogs = (cfg.real_dialogs_per_epoch if cfg.planning_dialogs_per_round is None
                        else cfg.planning_dialogs_per_round)
-            new_sim = plan(
-                self.agent, self.curiosity, self.world_model,
-                lambda rng: sample_goal(self.buffers, level, rng),
-                cfg.planning_rounds, dialogs, self.sim_buffer,
-                self.kb, self.roster, self.rngs["plan"], self.rewards,
-            )
+            try:
+                new_sim = plan(
+                    self.agent, self.curiosity, self.world_model,
+                    lambda rng: sample_goal(self.buffers, level, rng),
+                    cfg.planning_rounds, dialogs, self.sim_buffer,
+                    self.kb, self.roster, self.rngs["plan"], self.rewards,
+                    worker=self._plan_worker(level),
+                )
+            except BaseException:
+                self.close()  # the worker may be mid-job: kill it
+                raise
             if new_sim:
                 ops.append("dqn_sim")
                 sim_batches = max(1, math.ceil(new_sim / 16))
@@ -438,6 +455,38 @@ class Trainer:
         self.epoch_reports.append(report)
         return report
 
+    # ---- planning on a second process -------------------------------------------
+
+    def _plan_worker(self, level: str):
+        """``plan``'s worker for this epoch, or None to plan in-process.
+
+        The worker is forked at the first call with at least two planning
+        rounds, when this process may run on two CPUs, and kept until
+        ``close``.
+        """
+        if self.config.planning_rounds < 2:
+            return None
+        if self._worker is None:
+            if not can_plan_in_parallel():
+                return None
+            nets = [self.agent.q_net, self.world_model.net]
+            if self.curiosity is not None:
+                nets.append(self.curiosity.net)
+            self._worker = PlanWorker(nets, self._play_round)
+            weakref.finalize(self, self._worker.close)
+        return partial(self._worker.start, level)
+
+    def _play_round(self, level: str, seeds):
+        return play_round(self.agent, self.curiosity, self.world_model,
+                          lambda rng: sample_goal(self.buffers, level, rng), seeds,
+                          self.kb, self.roster, self.rewards)
+
+    def close(self) -> None:
+        """End and reap the planning worker, if one runs."""
+        if self._worker is not None:
+            self._worker.close()
+            self._worker = None
+
     # ---- evaluation -------------------------------------------------------------
 
     def evaluate(self, checkpoint_epoch: int, stage: int) -> EvalReport:
@@ -463,16 +512,19 @@ class Trainer:
         self.warm_start()
         b1, b2, b3 = stage_boundaries(cfg.epochs)
         ends = {b1: 1, b2: 2, b3: 3, cfg.epochs: 4}
-        for epoch in range(cfg.epochs):
-            self.run_epoch(epoch)
-            if epoch + 1 in ends:
-                stage = ends[epoch + 1]
-                report = self.evaluate(epoch + 1, stage)
-                log.info("%s: eval after epoch %d (%s): success=%.2f turns=%.1f",
-                         cfg.run_id, epoch + 1, report.level, report.success_rate,
-                         report.avg_turns)
-                if on_checkpoint is not None:
-                    on_checkpoint(epoch + 1, self)
+        try:
+            for epoch in range(cfg.epochs):
+                self.run_epoch(epoch)
+                if epoch + 1 in ends:
+                    stage = ends[epoch + 1]
+                    report = self.evaluate(epoch + 1, stage)
+                    log.info("%s: eval after epoch %d (%s): success=%.2f turns=%.1f",
+                             cfg.run_id, epoch + 1, report.level, report.success_rate,
+                             report.avg_turns)
+                    if on_checkpoint is not None:
+                        on_checkpoint(epoch + 1, self)
+        finally:
+            self.close()
         return self.epoch_reports, self.eval_reports
 
 

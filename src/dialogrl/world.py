@@ -10,14 +10,27 @@ batched forward of the Q-net, the curiosity value head and the world model
 over the rollouts still running, while the tracker updates stay per dialog.
 Each rollout draws its goal, its first user act and its epsilon-greedy
 choices from its own rng stream, seeded from draws on the planning rng, so
-one rollout's draws do not depend on when the others end. Experiences are
-appended turn by turn, in rollout order, and a rollout's next-state row is
-the very array its next experience stores as its state.
+one rollout's draws do not depend on when the others end. A round's
+experiences are stored turn by turn, in rollout order, and a rollout's
+next-state row is the very array its next experience stores as its state.
+
+The rounds of one ``plan`` call are independent: every round's seeds are
+drawn up front and the nets do not change during the call. So a
+``PlanWorker``, a process forked once per Trainer, can play the odd rounds
+while the caller plays the even ones, and ``plan`` stores each round in
+round order as soon as it is ready. The stored experiences, and so every
+run output, are byte-identical to planning in one process.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import logging
+import os
+import pickle
+import signal
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -25,11 +38,12 @@ from .agent import DqnAgent, Experience, ReplayBuffer, minibatch_rows, stack_row
 from .domain import ActionRoster, KnowledgeBase
 from .env import DialogEnv, RewardConfig, encode_state
 from .errors import ContractViolation, ShapeError
-from .nets import HeadSpec, LayerSpec, MlpSpec, TrainBatch, mlp_new
+from .nets import HeadSpec, LayerSpec, MlpModel, MlpSpec, TrainBatch, mlp_new
 
 log = logging.getLogger(__name__)
 
 TERMINATION_THRESHOLD = 0.5
+PIPE_BYTES = 1 << 20  # the most an unprivileged Linux process may ask for by default
 
 
 def world_model_spec(state_dim: int = 129, n_agent_actions: int = 29,
@@ -102,53 +116,238 @@ class WorldModel:
                                        "termination": dones[rows]})
 
 
+def play_round(agent: DqnAgent, curiosity, world_model: WorldModel, goal_sampler, seeds,
+               kb: KnowledgeBase, roster: ActionRoster, rewards: RewardConfig) -> Iterator[Experience]:
+    """One planning round: a rollout per seed, advancing in lockstep.
+
+    Yields the round's experiences turn by turn, in rollout order: the
+    order ``plan`` stores them in. Storing each as it comes lets the buffer
+    evict old experiences as the round goes: collecting whole rounds first
+    raised the peak memory of the benchmark's ``scddq_emd`` by about 0.9 MB.
+    """
+    rngs = [np.random.default_rng(int(seed)) for seed in seeds]
+    envs = []
+    for r in rngs:
+        env = DialogEnv(kb, roster, rewards, rng=r)
+        env.reset(goal_sampler(r))
+        envs.append(env)
+    s = np.stack([encode_state(env.state) for env in envs])
+    rows = list(s)  # each live rollout's current state, as stored in its experiences
+    while envs:
+        bonus = curiosity.values(s) if curiosity is not None else None
+        actions = agent.select_actions(s, rngs, bonus)
+        for env, a in zip(envs, actions):
+            env.apply_agent_act(env.realize_agent_action(int(a)))
+        probs, reward, p_done = world_model.predict(s, actions)
+        user_idx = probs.argmax(axis=1)
+        s_next = np.empty_like(s)
+        next_rows = list(s_next)
+        alive = []
+        for i, env in enumerate(envs):
+            env.apply_simulated_user_act(roster.user_actions[int(user_idx[i])])
+            s_next[i] = encode_state(env.state)
+            done = bool(p_done[i] > TERMINATION_THRESHOLD or env.state.turn >= rewards.max_turns)
+            yield Experience(rows[i], int(actions[i]), float(reward[i]),
+                             int(user_idx[i]), next_rows[i], done)
+            if not done:
+                alive.append(i)
+        envs = [envs[i] for i in alive]
+        rngs = [rngs[i] for i in alive]
+        rows = [next_rows[i] for i in alive]
+        s = s_next if len(alive) == len(actions) else s_next[alive]
+
+
 def plan(agent: DqnAgent, curiosity, world_model: WorldModel, goal_sampler,
          rounds: int, dialogs_per_round: int, sim_buffer: ReplayBuffer,
          kb: KnowledgeBase, roster: ActionRoster, rng: np.random.Generator,
-         rewards: RewardConfig | None = None) -> int:
+         rewards: RewardConfig | None = None, worker=None) -> int:
     """Generate simulated experiences by rolling the agent against the model.
 
     The user's move is the argmax of the model's user-action head; episodes
     end when the termination head crosses 0.5 or the turn cap is reached.
-    Returns the number of experiences stored (always into sim_buffer).
+    ``worker(seeds) -> next_round``, when given and there are at least two
+    rounds, starts the odd rounds (one seed array each) in another process
+    and returns a function that returns their experiences, one round per
+    call, in order (``PlanWorker.start``). Returns the number of experiences
+    stored (always into sim_buffer).
     """
     if sim_buffer.kind != "simulated":
         raise ContractViolation("planning writes to the simulated buffer only")
     if dialogs_per_round < 1:
         raise ContractViolation(f"planning needs at least one dialog per round, got {dialogs_per_round}")
     rewards = rewards if rewards is not None else RewardConfig()
+    seeds = [rng.integers(1 << 63, size=dialogs_per_round) for _ in range(rounds)]
+    remote = worker(seeds[1::2]) if worker is not None and rounds > 1 else None
     stored = 0
-    for _ in range(rounds):
-        rngs = [np.random.default_rng(int(seed))
-                for seed in rng.integers(1 << 63, size=dialogs_per_round)]
-        envs = []
-        for r in rngs:
-            env = DialogEnv(kb, roster, rewards, rng=r)
-            env.reset(goal_sampler(r))
-            envs.append(env)
-        s = np.stack([encode_state(env.state) for env in envs])
-        rows = list(s)  # each live rollout's current state, as stored in its experiences
-        while envs:
-            bonus = curiosity.values(s) if curiosity is not None else None
-            actions = agent.select_actions(s, rngs, bonus)
-            for env, a in zip(envs, actions):
-                env.apply_agent_act(env.realize_agent_action(int(a)))
-            probs, reward, p_done = world_model.predict(s, actions)
-            user_idx = probs.argmax(axis=1)
-            s_next = np.empty_like(s)
-            next_rows = list(s_next)
-            alive = []
-            for i, env in enumerate(envs):
-                env.apply_simulated_user_act(roster.user_actions[int(user_idx[i])])
-                s_next[i] = encode_state(env.state)
-                done = bool(p_done[i] > TERMINATION_THRESHOLD or env.state.turn >= rewards.max_turns)
-                sim_buffer.append(Experience(rows[i], int(actions[i]), float(reward[i]),
-                                             int(user_idx[i]), next_rows[i], done))
-                if not done:
-                    alive.append(i)
-            stored += len(envs)
-            envs = [envs[i] for i in alive]
-            rngs = [rngs[i] for i in alive]
-            rows = [next_rows[i] for i in alive]
-            s = s_next if len(alive) == len(actions) else s_next[alive]
+    for k, round_seeds in enumerate(seeds):
+        if remote is not None and k % 2:
+            exps = remote()
+        else:
+            exps = play_round(agent, curiosity, world_model, goal_sampler, round_seeds,
+                              kb, roster, rewards)
+        for exp in exps:
+            sim_buffer.append(exp)
+            stored += 1
     return stored
+
+
+def can_plan_in_parallel() -> bool:
+    """Whether this process may fork and run on at least two CPUs."""
+    return hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+class PlanWorker:
+    """A forked process that plays planning rounds on request.
+
+    ``play(job, seeds) -> Iterable[Experience]`` runs in the worker, on the
+    worker's copy of ``nets`` (forked with them); each job first sends every
+    net's ``theta``, so the worker plays with the parent's current weights.
+    A round comes back as raw bytes, not pickled Experience objects: a
+    float64 matrix per turn of its state rows, read straight into the array
+    that keeps them, plus per-transition columns. The parent rebuilds each
+    Experience from row views of those matrices, so a rollout's ``s_next``
+    is still the very array its next experience stores as ``s``. The worker
+    exits on EOF of its command pipe. An error in a round is sent back,
+    re-raised in the parent by ``next_round``, and ends the worker; after
+    any error the owner calls ``close``, which kills a worker still busy.
+    """
+
+    def __init__(self, nets: list[MlpModel], play):
+        self._nets = nets
+        self._pending = 0  # rounds started and not yet received
+        cmd_r, cmd_w = os.pipe()
+        res_r, res_w = os.pipe()
+        for fd in (cmd_w, res_w):
+            _widen_pipe(fd)
+        self.pid = os.fork()
+        if self.pid == 0:  # the worker; it never returns from here
+            try:
+                gc.freeze()  # objects forked from the parent are never collected here
+                _close_fds_except(0, 1, 2, cmd_r, res_w)
+                _serve(open(cmd_r, "rb"), open(res_w, "wb"), nets, play)
+            finally:
+                os._exit(0)
+        os.close(cmd_r)
+        os.close(res_w)
+        self._cmd = open(cmd_w, "wb")
+        self._res = open(res_r, "rb")
+
+    def start(self, job, seeds: list[np.ndarray]):
+        """Start one round per seed array; returns ``next_round`` for ``plan``."""
+        self._pending += len(seeds)
+        pickle.dump((job, seeds), self._cmd)
+        for net in self._nets:
+            self._cmd.write(net.theta)
+        self._cmd.flush()
+        return self.next_round
+
+    def next_round(self) -> Iterator[Experience]:
+        """The next started round's experiences, in order, as they are read.
+
+        A round is read turn by turn into arrays shaped like in-process
+        planning's, one per turn, so storing each experience as it comes
+        lets the buffer free old turns as the round goes.
+        """
+        try:
+            head = pickle.load(self._res)
+        except EOFError:
+            raise ChildProcessError(f"planning worker {self.pid} ended unexpectedly") from None
+        if isinstance(head, BaseException):
+            raise head
+        width, sizes, cols, rewards = head
+        cols, rewards = cols.tolist(), rewards.tolist()
+        states = list(_read_array(self._res, np.empty((sizes[0], width))))
+        k = 0
+        for n in sizes[1:]:
+            next_states = list(_read_array(self._res, np.empty((n, width))))
+            for j in range(n):
+                s, a, a_user, done = cols[k]
+                yield Experience(states[s], a, rewards[k], a_user, next_states[j], bool(done))
+                k += 1
+            states = next_states
+        self._pending -= 1
+
+    def close(self) -> None:
+        """End and reap the worker: at once if it is busy, else by EOF."""
+        if self.pid is None:
+            return
+        if self._pending:
+            os.kill(self.pid, signal.SIGKILL)
+        for pipe in (self._cmd, self._res):
+            with contextlib.suppress(OSError):  # a dead worker's pipe
+                pipe.close()
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(self.pid, 0)
+        self.pid = None
+
+
+def _widen_pipe(fd: int) -> None:
+    """Let the pipe hold a whole job's weights, and most rounds, so a writer
+    seldom waits for the reader (Linux only; else the default 64 KiB)."""
+    with contextlib.suppress(ImportError, AttributeError, OSError):
+        import fcntl
+
+        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+
+
+def _read_array(pipe, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with its size in bytes from ``pipe``."""
+    if pipe.readinto(memoryview(out).cast("B")) != out.nbytes:
+        raise EOFError("pipe closed mid-array")
+    return out
+
+
+def _close_fds_except(*keep: int) -> None:
+    """Close every open fd but ``keep``, so this process holds no other pipe open."""
+    lo = 0
+    for fd in sorted(keep) + [os.sysconf("SC_OPEN_MAX")]:
+        if lo < fd:  # os.closerange(n, n) would close every fd from n on
+            os.closerange(lo, fd)
+        lo = fd + 1
+
+
+def _serve(cmd, res, nets: list[MlpModel], play) -> None:
+    """The worker's loop: per job, load the weights, then play and send each round."""
+    while True:
+        try:
+            job, seeds = pickle.load(cmd)
+        except EOFError:
+            return
+        for net in nets:
+            _read_array(cmd, net.theta)
+        for round_seeds in seeds:
+            try:
+                exps = list(play(job, round_seeds))
+            except Exception as exc:
+                try:
+                    payload = pickle.dumps(exc)
+                except Exception:  # the error does not pickle
+                    payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+                res.write(payload)
+                res.flush()
+                return
+            _send_round(res, exps)
+
+
+def _send_round(res, exps: list[Experience]) -> None:
+    """One round as raw arrays: the first turn's states, then each turn's
+    next states, one row per transition, plus per-transition columns."""
+    turns, reached = [[]], set()
+    for exp in exps:
+        if id(exp.s) in reached:  # a state this turn reached: the next turn has begun
+            turns.append([])
+            reached = set()
+        turns[-1].append(exp)
+        reached.add(id(exp.s_next))
+    blocks = [stack_rows([e.s for e in turns[0]])]
+    row = {id(e.s): i for i, e in enumerate(turns[0])}  # id of a state -> its row in the last block
+    cols = []
+    for turn in turns:
+        cols += [(row[id(e.s)], e.a, e.a_user, e.done) for e in turn]
+        blocks.append(stack_rows([e.s_next for e in turn]))
+        row = {id(e.s_next): i for i, e in enumerate(turn)}
+    pickle.dump((blocks[0].shape[1], [len(b) for b in blocks], np.array(cols, dtype=np.int64),
+                 np.array([e.r for e in exps])), res)
+    for block in blocks:
+        res.write(block)
+    res.flush()

@@ -35,22 +35,22 @@ def test_q_values_bad_shape():
 
 def test_zero_weight_net_gives_flat_q():
     agent = DqnAgent(seed=0)
-    agent.q_net.set_parameter_vector(np.zeros(agent.q_net.n_parameters()))
+    agent.q_net.set_parameter_vector(np.zeros(agent.q_net.theta.size))
     q = agent.q_values(np.ones(129))
     assert np.allclose(q, q[0])
 
 
 def test_greedy_pick_and_tie_break():
     agent = DqnAgent(seed=0, epsilon=0.0)
-    agent.q_net.set_parameter_vector(np.zeros(agent.q_net.n_parameters()))
-    vec = np.zeros(agent.q_net.n_parameters())
+    agent.q_net.set_parameter_vector(np.zeros(agent.q_net.theta.size))
+    vec = np.zeros(agent.q_net.theta.size)
     vec[-29:] = 0.0
     vec[-29 + 5] = 3.0  # bias peak at action 5
     agent.q_net.set_parameter_vector(vec)
     rng = np.random.default_rng(0)
     assert agent.select_action(np.zeros(129), rng) == 5
     # all-equal Q: lowest index wins
-    agent.q_net.set_parameter_vector(np.zeros(agent.q_net.n_parameters()))
+    agent.q_net.set_parameter_vector(np.zeros(agent.q_net.theta.size))
     assert agent.select_action(np.zeros(129), rng) == 0
 
 
@@ -126,7 +126,7 @@ def test_eq1_argmax_matches_brute_force():
 def test_select_actions_rows_match_select_action(epsilon, tied):
     agent = DqnAgent(seed=6, epsilon=epsilon)
     if tied:  # every Q-value equal: ties break to the lowest index
-        agent.q_net.set_parameter_vector(np.zeros(agent.q_net.n_parameters()))
+        agent.q_net.set_parameter_vector(np.zeros(agent.q_net.theta.size))
     states = (np.random.default_rng(8).random((40, 129)) > 0.5).astype(float)
     for bonus in (None, np.random.default_rng(9).random((40, 29))):
         batch_rngs = [np.random.default_rng([21, i]) for i in range(40)]
@@ -191,7 +191,7 @@ def test_update_empty_buffer_is_noop():
 def test_batch_targets_terminal_and_bootstrap():
     agent = DqnAgent(state_dim=4, n_actions=3, hidden=5, gamma=0.9, seed=0)
     # target net with zero weights and bias so max target-Q = 10
-    vec = np.zeros(agent.target_net.n_parameters())
+    vec = np.zeros(agent.target_net.theta.size)
     vec[-3:] = [10.0, 1.0, 0.0]
     agent.target_net.set_parameter_vector(vec)
     terminal = Experience(np.zeros(4), 1, 80.0, 0, np.zeros(4), True)

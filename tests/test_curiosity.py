@@ -15,6 +15,13 @@ def tiny_cm(seed=0, lr=0.01):
                           learning_rate=lr, seed=seed)
 
 
+def prediction_error(cm, s, a, s_next) -> float:
+    """Squared distance between the true and the predicted next encoding."""
+    pred = cm.net.forward(encode_inputs(s, [a], cm.n_agent_actions))["next_state"][0]
+    diff = s_next - pred
+    return float(diff @ diff)
+
+
 def rand_state(rng, dim=STATE):
     return (rng.random(dim) > 0.5).astype(float)
 
@@ -30,7 +37,7 @@ def test_scores_shape_and_nonnegative():
 
 def test_scores_zero_net_flat():
     cm = tiny_cm()
-    cm.net.set_parameter_vector(np.zeros(cm.net.n_parameters()))
+    cm.net.set_parameter_vector(np.zeros(cm.net.theta.size))
     c, _ = cm.scores(np.ones(STATE))
     assert np.allclose(c, c[0])
     assert (c >= 0).all()
@@ -48,7 +55,7 @@ def test_values_match_scores_row_by_row():
     cm = tiny_cm(seed=9)
     rng = np.random.default_rng(4)
     # Random weights of a useful size, so most values are positive and unequal.
-    cm.net.set_parameter_vector(rng.normal(scale=0.5, size=cm.net.n_parameters()))
+    cm.net.set_parameter_vector(rng.normal(scale=0.5, size=cm.net.theta.size))
     for n in (1, 7):
         states = np.stack([rand_state(rng) for _ in range(n)])
         v = cm.values(states)
@@ -67,7 +74,7 @@ def test_values_match_whole_net_across_blocks(n):
     # Canonical sizes: 29 actions make 4-state blocks, so n = 5 and 30 cross block edges.
     cm = CuriosityModel(seed=3)
     rng = np.random.default_rng(n)
-    cm.net.set_parameter_vector(rng.normal(scale=0.3, size=cm.net.n_parameters()))
+    cm.net.set_parameter_vector(rng.normal(scale=0.3, size=cm.net.theta.size))
     states = (rng.random((n, 129)) > 0.5).astype(float)
     x = encode_inputs(np.repeat(states, 29, axis=0), np.tile(np.arange(29), n), 29)
     full = np.maximum(cm.net.forward(x)["value"][:, 0], 0.0).reshape(n, 29)
@@ -94,11 +101,11 @@ def test_prediction_error_degenerate_cases():
     s = rand_state(rng)
     # perfect prediction -> error 0 (use the model's own prediction as truth)
     _, preds = cm.scores(s)
-    assert cm.prediction_error(s, 1, preds[1]) == pytest.approx(0.0, abs=1e-18)
+    assert prediction_error(cm, s, 1, preds[1]) == pytest.approx(0.0, abs=1e-18)
     # differing in exactly 4 binary coordinates by 1 -> error 4
     truth = preds[2].copy()
     truth[:4] += 1.0
-    assert cm.prediction_error(s, 2, truth) == pytest.approx(4.0)
+    assert prediction_error(cm, s, 2, truth) == pytest.approx(4.0)
 
 
 def test_train_empty_buffers_noop():
@@ -191,7 +198,7 @@ def test_mean_error_non_increasing_on_deterministic_corpus():
         buf.append(Experience(s, a, 0.0, 0, s2, False))
 
     def mean_err():
-        return float(np.mean([cm.prediction_error(s, a, s2) for s, a, s2 in pairs]))
+        return float(np.mean([prediction_error(cm, s, a, s2) for s, a, s2 in pairs]))
 
     train_rng = np.random.default_rng(0)
     checkpoints = [mean_err()]
@@ -220,8 +227,8 @@ def test_training_mixes_both_buffers():
     for _ in range(300):
         cm.train(real, sim, n_batches=2, rng=train_rng)
     # both patterns were learned, so both errors are small
-    assert cm.prediction_error(np.zeros(STATE), 0, real_next) < 0.5
-    assert cm.prediction_error(np.ones(STATE), 1, sim_next) < 0.5
+    assert prediction_error(cm, np.zeros(STATE), 0, real_next) < 0.5
+    assert prediction_error(cm, np.ones(STATE), 1, sim_next) < 0.5
 
 
 def test_phi_is_the_shared_state_encoding():

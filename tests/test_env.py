@@ -109,7 +109,7 @@ def test_user_informs_requested_slot(kb):
     goal, rec = make_goal_from_record(kb, [Slot.MOVIENAME, Slot.CITY], [Slot.TICKET])
     env = DialogEnv(kb, rng=0)
     env.reset(goal)
-    idx = env.roster.agent_index(DialogAct(Intent.REQUEST, request_slots=(Slot.CITY,)))
+    idx = env.roster.agent_actions.index(DialogAct(Intent.REQUEST, request_slots=(Slot.CITY,)))
     outcome = env.step(idx)
     assert outcome.user_act.intent == Intent.INFORM
     assert outcome.user_act.inform_slots[Slot.CITY] == rec.values[Slot.CITY]
@@ -121,7 +121,7 @@ def test_user_not_sure_for_unknown_slot(kb):
     goal, _ = make_goal_from_record(kb, [Slot.MOVIENAME], [Slot.TICKET])
     env = DialogEnv(kb, rng=0)
     env.reset(goal)
-    idx = env.roster.agent_index(DialogAct(Intent.REQUEST, request_slots=(Slot.ZIP,)))
+    idx = env.roster.agent_actions.index(DialogAct(Intent.REQUEST, request_slots=(Slot.ZIP,)))
     outcome = env.step(idx)
     assert outcome.user_act.intent == Intent.NOT_SURE
 
@@ -358,14 +358,16 @@ def test_render_act_templates():
 
 
 def test_transcript_roundtrip_jsonl(kb, tmp_path):
-    from dialogrl.env import read_transcript, write_transcript
+    import json
+
+    from dialogrl.env import write_transcript
 
     goal, _ = make_goal_from_record(kb, [Slot.MOVIENAME, Slot.CITY], [Slot.TICKET])
     env = DialogEnv(kb, rng=3, record_transcript=True)
     run_rule_episode(env, goal)
     path = tmp_path / "episode.jsonl"
     write_transcript(env.transcript, path)
-    loaded = read_transcript(path)
+    loaded = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     assert loaded == env.transcript
     assert judge_success(goal, loaded, kb) == env.success
     # one act per line with the documented fields

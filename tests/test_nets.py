@@ -57,7 +57,7 @@ def test_q_net_parameter_count():
     # 129*80 + 80 hidden parameters plus 80*29 + 29 output parameters
     model = mlp_new(q_net_spec(), seed=0)
     expected = 129 * 80 + 80 + 80 * 29 + 29
-    assert model.n_parameters() == expected == 12749
+    assert model.theta.size == expected == 12749
 
 
 def test_same_seed_same_parameters():
@@ -82,9 +82,9 @@ def test_loss_activation_pairing_enforced():
 
 def test_forward_zero_weights_returns_bias():
     model = mlp_new(single_head_spec(4, [], 3, "linear", "mse"), seed=0)
-    model.set_parameter_vector(np.zeros(model.n_parameters()))
+    model.set_parameter_vector(np.zeros(model.theta.size))
     w_size = 4 * 3
-    vec = np.zeros(model.n_parameters())
+    vec = np.zeros(model.theta.size)
     vec[w_size:] = [1.5, -2.0, 0.25]
     model.set_parameter_vector(vec)
     out = model.forward(np.ones((2, 4)))["out"]

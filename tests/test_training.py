@@ -431,21 +431,25 @@ def test_pickled_trainer_resumes_bitwise(data):
     import pickle
 
     kb, goals = data
-    tr = Trainer(tiny_config(), kb, goals)
-    tr.warm_start()
-    for epoch in range(2):
-        tr.run_epoch(epoch)
-    twin = pickle.loads(pickle.dumps(tr, protocol=pickle.HIGHEST_PROTOCOL))
-    for epoch in (2, 3):
-        a, b = tr.run_epoch(epoch), twin.run_epoch(epoch)
-        assert np.array_equal(a.action_counts, b.action_counts)
-        assert {k: v for k, v in vars(a).items() if k != "action_counts"} == \
-            {k: v for k, v in vars(b).items() if k != "action_counts"}
-    for net, twin_net in ((tr.agent.q_net, twin.agent.q_net),
-                          (tr.world_model.net, twin.world_model.net),
-                          (tr.curiosity.net, twin.curiosity.net)):
-        assert net.parameter_vector().tobytes() == twin_net.parameter_vector().tobytes()
-        assert net.acc.tobytes() == twin_net.acc.tobytes()
+    # one planning round, and three (with two CPUs, a forked worker plays one)
+    for cfg in (tiny_config(), tiny_config(planning_rounds=3)):
+        tr = Trainer(cfg, kb, goals)
+        tr.warm_start()
+        for epoch in range(2):
+            tr.run_epoch(epoch)
+        twin = pickle.loads(pickle.dumps(tr, protocol=pickle.HIGHEST_PROTOCOL))
+        for epoch in (2, 3):
+            a, b = tr.run_epoch(epoch), twin.run_epoch(epoch)
+            assert np.array_equal(a.action_counts, b.action_counts)
+            assert {k: v for k, v in vars(a).items() if k != "action_counts"} == \
+                {k: v for k, v in vars(b).items() if k != "action_counts"}
+        for net, twin_net in ((tr.agent.q_net, twin.agent.q_net),
+                              (tr.world_model.net, twin.world_model.net),
+                              (tr.curiosity.net, twin.curiosity.net)):
+            assert net.parameter_vector().tobytes() == twin_net.parameter_vector().tobytes()
+            assert net.acc.tobytes() == twin_net.acc.tobytes()
+        tr.close()
+        twin.close()
 
 
 def test_run_epoch_requires_warm_start(data):
