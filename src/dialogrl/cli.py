@@ -92,6 +92,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.episodes < 1:
+        raise ConfigError(f"episodes: must be >= 1, got {args.episodes}")
     run_dir = Path(args.run_dir)
     config = RunConfig.load(run_dir / "config.json")
     checkpoints = sorted(run_dir.glob("checkpoint_ep*.json"),

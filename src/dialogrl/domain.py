@@ -417,9 +417,11 @@ def generate_goal_set(kb: KnowledgeBase, counts: dict[int, int], seed: int) -> l
     to generate. Goals always request the ticket and always know the movie
     name (unless the goal requests it, which the requestable pool precludes).
     """
-    for k in counts:
+    for k, n in counts.items():
         if not 1 <= int(k) <= 5:
             raise GenerationError(f"request-slot count must be 1..5, got {k}")
+        if int(n) < 0:
+            raise GenerationError(f"goal count for {k} request slots must be >= 0, got {n}")
     rng = np.random.default_rng(seed)
     seen = set()
     goals: list[UserGoal] = []

@@ -47,7 +47,16 @@ N_INTENTS = len(Intent)
 N_SLOTS = len(Slot)
 MAX_TURN_BUCKETS = 40
 KB_BUCKETS = 3
-STATE_DIM = N_INTENTS + N_SLOTS + N_SLOTS + N_INTENTS + N_SLOTS + N_SLOTS + MAX_TURN_BUCKETS + KB_BUCKETS
+# Where each block of the state encoding starts (see encode_state).
+USER_INTENT = 0
+USER_INFORMED = USER_INTENT + N_INTENTS
+OUTSTANDING = USER_INFORMED + N_SLOTS
+AGENT_INTENT = OUTSTANDING + N_SLOTS
+AGENT_INFORMED = AGENT_INTENT + N_INTENTS
+AGENT_REQUESTED = AGENT_INFORMED + N_SLOTS
+TURN_BUCKET = AGENT_REQUESTED + N_SLOTS
+KB_BUCKET = TURN_BUCKET + MAX_TURN_BUCKETS
+STATE_DIM = KB_BUCKET + KB_BUCKETS
 
 
 @dataclass
@@ -105,29 +114,20 @@ def encode_state(state: DialogState) -> np.ndarray:
     KB match-count bucket 0 / 1 / >=2 (3).
     """
     v = np.zeros(STATE_DIM, dtype=np.float64)
-    off = 0
     if state.last_user_act is not None:
-        v[off + int(state.last_user_act.intent)] = 1.0
-    off += N_INTENTS
+        v[USER_INTENT + int(state.last_user_act.intent)] = 1.0
     for s in state.user_informs:
-        v[off + int(s)] = 1.0
-    off += N_SLOTS
+        v[USER_INFORMED + int(s)] = 1.0
     for s in state.outstanding:
-        v[off + int(s)] = 1.0
-    off += N_SLOTS
+        v[OUTSTANDING + int(s)] = 1.0
     if state.last_agent_act is not None:
-        v[off + int(state.last_agent_act.intent)] = 1.0
-    off += N_INTENTS
+        v[AGENT_INTENT + int(state.last_agent_act.intent)] = 1.0
     for s in state.agent_informs:
-        v[off + int(s)] = 1.0
-    off += N_SLOTS
+        v[AGENT_INFORMED + int(s)] = 1.0
     for s in state.agent_requested:
-        v[off + int(s)] = 1.0
-    off += N_SLOTS
-    v[off + min(state.turn, MAX_TURN_BUCKETS - 1)] = 1.0
-    off += MAX_TURN_BUCKETS
-    bucket = 0 if state.kb_match_count == 0 else (1 if state.kb_match_count == 1 else 2)
-    v[off + bucket] = 1.0
+        v[AGENT_REQUESTED + int(s)] = 1.0
+    v[TURN_BUCKET + min(state.turn, MAX_TURN_BUCKETS - 1)] = 1.0
+    v[KB_BUCKET + min(state.kb_match_count, KB_BUCKETS - 1)] = 1.0
     return v
 
 
@@ -149,7 +149,7 @@ class DialogEnv:
         self.rng = rng
         self.goal: UserGoal | None = None
         self.state: DialogState | None = None
-        self._kb_hits: set[int] | range = range(0)  # ids matching the tracked constraints
+        self.kb_hits: set[int] | range = range(0)  # ids matching the tracked constraints; do not mutate
         self.record_transcript = record_transcript
         self.transcript: list[dict] = []
         self._done = True
@@ -161,8 +161,8 @@ class DialogEnv:
         if self.kb.match_count(goal.inform_slots) == 0:
             raise EnvSetupError("goal constraints match no KB record")
         self.goal = goal
-        self._kb_hits = self.kb.hits({})  # no constraints yet
-        self.state = DialogState(kb_match_count=len(self._kb_hits))
+        self.kb_hits = self.kb.hits({})  # no constraints yet
+        self.state = DialogState(kb_match_count=len(self.kb_hits))
         self.transcript = []
         self._done = False
         self._success = None
@@ -222,13 +222,13 @@ class DialogEnv:
             slot = next(iter(template.inform_slots))
             if slot == Slot.TASKCOMPLETE:
                 return DialogAct(Intent.INFORM, {Slot.TASKCOMPLETE: "booked"})
-            hits = self._kb_hits
+            hits = self.kb_hits
             value = self.kb.records[min(hits)].values[slot] if hits else "no match available"
             return DialogAct(Intent.INFORM, {slot: value})
         return DialogAct(template.intent)
 
     def apply_agent_act(self, act: DialogAct) -> None:
-        """Advance the tracker for an agent act (shared with planning rollouts)."""
+        """Advance the tracker for an agent act."""
         st = self.state
         st.turn += 1
         st.last_agent_act = act
@@ -241,22 +241,6 @@ class DialogEnv:
             slot = next(iter(act.inform_slots))
             if slot != Slot.TASKCOMPLETE:
                 self._consider_answer(slot, act.inform_slots[slot])
-
-    def apply_simulated_user_act(self, template: DialogAct) -> None:
-        """Advance the tracker for a world-model-predicted user act.
-
-        Values are realized from the goal where available so the encoding
-        of simulated experiences stays consistent with real ones.
-        """
-        if template.intent == Intent.INFORM:
-            slot = next(iter(template.inform_slots))
-            act = DialogAct(Intent.INFORM, {slot: self.goal.inform_slots.get(slot, "unknown")})
-        elif template.intent == Intent.REQUEST:
-            act = DialogAct(Intent.REQUEST, request_slots=template.request_slots)
-        else:
-            act = DialogAct(template.intent)
-        self._record_user_informs(act)
-        self.state.last_user_act = act
 
     # ---- user simulator rules ----------------------------------------------
 
@@ -358,8 +342,8 @@ class DialogEnv:
         """Requery the KB matches of the constraints, kept for agent informs;
         called only where the constraints change (a user inform of a goal
         slot, an accepted answer)."""
-        self._kb_hits = self.kb.hits(self._constraints())
-        self.state.kb_match_count = len(self._kb_hits)
+        self.kb_hits = self.kb.hits(self._constraints())
+        self.state.kb_match_count = len(self.kb_hits)
 
     def _finish(self, success: bool) -> None:
         self._done = True

@@ -131,6 +131,8 @@ class RunConfig:
             raise ConfigError("epochs: need at least 4 for the four stages")
         if self.planning_rounds < 0:
             raise ConfigError("planning_rounds: must be >= 0")
+        if any(int(n) < 0 for n in self.goal_counts.values()):
+            raise ConfigError(f"goal_counts: every count must be >= 0, got {self.goal_counts}")
         if self.planning_dialogs_per_round is not None and self.planning_dialogs_per_round < 1:
             raise ConfigError("planning_dialogs_per_round: must be >= 1, or null for "
                               "real_dialogs_per_epoch")

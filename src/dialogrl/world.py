@@ -2,12 +2,13 @@
 
 The model maps (encoded state, one-hot agent action) to a distribution over
 user action templates, a scalar reward, and a termination probability.
-Planning replays the real dialog tracker but takes the user's move, the
-reward, and the episode end from the model instead of the simulator.
+Planning applies the real dialog tracker's rules but takes the user's move,
+the reward, and the episode end from the model instead of the simulator.
 
 The rollouts of one planning round advance in lockstep: each turn runs one
 batched forward of the Q-net, the curiosity value head and the world model
-over the rollouts still running, while the tracker updates stay per dialog.
+over the rollouts still running, and updates their tracker state, kept as
+arrays, with one set of numpy ops.
 Each rollout draws its goal, its first user act and its epsilon-greedy
 choices from its own rng stream, seeded from draws on the planning rng, so
 one rollout's draws do not depend on when the others end. A round's
@@ -35,8 +36,10 @@ from collections.abc import Iterator
 import numpy as np
 
 from .agent import DqnAgent, Experience, ReplayBuffer, minibatch_rows, stack_rows, train_on_replay
-from .domain import ActionRoster, KnowledgeBase
-from .env import DialogEnv, RewardConfig, encode_state
+from .domain import ActionRoster, Intent, KnowledgeBase, Slot
+from .env import (AGENT_INFORMED, AGENT_INTENT, AGENT_REQUESTED, KB_BUCKET, KB_BUCKETS, MAX_TURN_BUCKETS,
+                  N_SLOTS, OUTSTANDING, TURN_BUCKET, USER_INFORMED, USER_INTENT, DialogEnv, RewardConfig,
+                  encode_state)
 from .errors import ContractViolation, ShapeError
 from .nets import HeadSpec, LayerSpec, MlpModel, MlpSpec, TrainBatch, mlp_new
 
@@ -120,41 +123,111 @@ def play_round(agent: DqnAgent, curiosity, world_model: WorldModel, goal_sampler
                kb: KnowledgeBase, roster: ActionRoster, rewards: RewardConfig) -> Iterator[Experience]:
     """One planning round: a rollout per seed, advancing in lockstep.
 
+    Each rollout is reset through its own ``DialogEnv``, which draws its goal
+    and the simulator's first user act. From then on the tracker state of
+    the live rollouts is kept in arrays: each turn copies their encoding
+    matrix and updates every row with the same few numpy ops, the tracker
+    rules of ``DialogEnv.apply_agent_act`` plus the world model's user act
+    (realized from the goal, so a user inform of a goal slot adds that
+    constraint). Per-rollout Python runs only for agent informs that answer
+    an outstanding request and for rows whose KB constraints change.
+
     Yields the round's experiences turn by turn, in rollout order: the
     order ``plan`` stores them in. Storing each as it comes lets the buffer
     evict old experiences as the round goes: collecting whole rounds first
     raised the peak memory of the benchmark's ``scddq_emd`` by about 0.9 MB.
     """
+    agent_intent, agent_column, answers, user_intent, user_informs = _act_tables(roster)
     rngs = [np.random.default_rng(int(seed)) for seed in seeds]
-    envs = []
+    goals, hits, rows = [], [], []
     for r in rngs:
         env = DialogEnv(kb, roster, rewards, rng=r)
         env.reset(goal_sampler(r))
-        envs.append(env)
-    s = np.stack([encode_state(env.state) for env in envs])
+        goals.append(env.goal.inform_slots)
+        hits.append(env.kb_hits)
+        rows.append(encode_state(env.state))
+    accepted = [{} for _ in rngs]
+    s = np.stack(rows)
     rows = list(s)  # each live rollout's current state, as stored in its experiences
-    while envs:
+    live = np.arange(len(rngs))  # each live row's rollout
+    in_goal = np.zeros((len(rngs), N_SLOTS), dtype=bool)
+    for i, goal in enumerate(goals):
+        in_goal[i, list(goal)] = True
+    turn = 0  # every live rollout's, as they advance together
+    while len(live):
         bonus = curiosity.values(s) if curiosity is not None else None
         actions = agent.select_actions(s, rngs, bonus)
-        for env, a in zip(envs, actions):
-            env.apply_agent_act(env.realize_agent_action(int(a)))
         probs, reward, p_done = world_model.predict(s, actions)
-        user_idx = probs.argmax(axis=1)
-        s_next = np.empty_like(s)
+        at = np.arange(len(live))
+        s_next = s.copy()
+        # the agent's act
+        s_next[:, TURN_BUCKET + min(turn, MAX_TURN_BUCKETS - 1)] = 0.0
+        turn += 1
+        s_next[:, TURN_BUCKET + min(turn, MAX_TURN_BUCKETS - 1)] = 1.0
+        s_next[:, AGENT_INTENT:AGENT_INFORMED] = 0.0
+        s_next[at, AGENT_INTENT + agent_intent[actions]] = 1.0
+        column = agent_column[actions]
+        some = column >= 0
+        s_next[at[some], column[some]] = 1.0
+        slot = answers[actions]
+        changed = []
+        # (a slot of -1 reads some other column; the mask drops it)
+        for j in np.flatnonzero((slot >= 0) & (s[at, OUTSTANDING + slot] > 0)).tolist():
+            i, q = live[j], Slot(int(slot[j]))
+            value = kb.records[min(hits[i])].values[q] if hits[i] else "no match available"
+            if kb.match_count({**goals[i], **accepted[i], q: value}) >= 1:
+                accepted[i][q] = value
+                s_next[j, OUTSTANDING + q] = 0.0
+                changed.append(j)
+        # the world model's user act
+        user = probs.argmax(axis=1)
+        s_next[:, USER_INTENT:USER_INFORMED] = 0.0
+        s_next[at, USER_INTENT + user_intent[user]] = 1.0
+        slot = user_informs[user]
+        told = np.flatnonzero((slot >= 0) & in_goal[at, slot] & (s_next[at, USER_INFORMED + slot] == 0.0))
+        s_next[told, USER_INFORMED + slot[told]] = 1.0
+        for j in set(changed).union(told.tolist()):
+            i = live[j]
+            constraints = {q: v for q, v in goals[i].items() if s_next[j, USER_INFORMED + q]}
+            hits[i] = kb.hits({**constraints, **accepted[i]})
+            s_next[j, KB_BUCKET:] = 0.0
+            s_next[j, KB_BUCKET + min(len(hits[i]), KB_BUCKETS - 1)] = 1.0
+
+        done = p_done > TERMINATION_THRESHOLD if turn < rewards.max_turns else np.ones(len(live), dtype=bool)
         next_rows = list(s_next)
-        alive = []
-        for i, env in enumerate(envs):
-            env.apply_simulated_user_act(roster.user_actions[int(user_idx[i])])
-            s_next[i] = encode_state(env.state)
-            done = bool(p_done[i] > TERMINATION_THRESHOLD or env.state.turn >= rewards.max_turns)
-            yield Experience(rows[i], int(actions[i]), float(reward[i]),
-                             int(user_idx[i]), next_rows[i], done)
-            if not done:
-                alive.append(i)
-        envs = [envs[i] for i in alive]
-        rngs = [rngs[i] for i in alive]
-        rows = [next_rows[i] for i in alive]
-        s = s_next if len(alive) == len(actions) else s_next[alive]
+        yield from map(Experience, rows, actions.tolist(), reward.tolist(), user.tolist(),
+                       next_rows, done.tolist())
+        if done.any():
+            alive = np.flatnonzero(~done)
+            s, in_goal, live = s_next[alive], in_goal[alive], live[alive]
+            rngs = [rngs[j] for j in alive]
+            rows = [next_rows[j] for j in alive]
+        else:
+            s, rows = s_next, next_rows
+
+
+def _act_tables(roster: ActionRoster):
+    """Per agent template: its intent, the encoding column its request or
+    inform sets and the slot an inform of it may answer (-1 for none). Per
+    user template: its intent and the slot it informs (-1 for none)."""
+    agent_intent, agent_column, answers = [], [], []
+    for act in roster.agent_actions:
+        agent_intent.append(int(act.intent))
+        column = answer = -1
+        if act.intent == Intent.REQUEST:
+            column = AGENT_REQUESTED + act.request_slots[0]
+        elif act.intent == Intent.INFORM:
+            slot = next(iter(act.inform_slots))
+            column = AGENT_INFORMED + slot
+            if slot not in (Slot.TASKCOMPLETE, Slot.TICKET):
+                answer = int(slot)
+        agent_column.append(column)
+        answers.append(answer)
+    user_intent = [int(act.intent) for act in roster.user_actions]
+    user_informs = [int(next(iter(act.inform_slots))) if act.intent == Intent.INFORM else -1
+                    for act in roster.user_actions]
+    return tuple(np.array(x, dtype=np.int64) for x in (agent_intent, agent_column, answers,
+                                                        user_intent, user_informs))
 
 
 def plan(agent: DqnAgent, curiosity, world_model: WorldModel, goal_sampler,

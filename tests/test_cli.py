@@ -60,6 +60,13 @@ def test_gen_data_zero_movies_usage_error(tmp_path):
     assert rc == 2
 
 
+def test_gen_data_negative_goal_count_usage_error(tmp_path, capsys):
+    rc = main(["gen-data", "--movies", "60", "--goals-spec", "1:-5", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "goal count for 1 request slots must be >= 0, got -5" in capsys.readouterr().err
+    assert not (tmp_path / "goals.json").exists()
+
+
 def test_train_writes_run_dir(tmp_path, capsys):
     kb_path, goals_path = make_data(tmp_path)
     config = tiny_train_config(tmp_path, kb_path, goals_path)
@@ -145,6 +152,18 @@ def test_eval_subcommand(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert "success_rate=" in captured.out
+
+
+@pytest.mark.parametrize("episodes", ["0", "-2"])
+@pytest.mark.parametrize("show", [[], ["--show"]])
+def test_eval_needs_an_episode(tmp_path, capsys, episodes, show):
+    kb_path, goals_path = make_data(tmp_path)
+    assert main(["train", "--config", str(tiny_train_config(tmp_path, kb_path, goals_path))]) == 0
+    capsys.readouterr()
+    rc = main(["eval", "--run-dir", str(tmp_path / "runs" / "SC-DDQ_EMD_1"), "--episodes", episodes, *show])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert f"episodes: must be >= 1, got {episodes}" in captured.err
 
 
 def test_eval_show_renders_dialogs(tmp_path, capsys):

@@ -164,6 +164,13 @@ def test_goal_set_deterministic():
     assert [g.to_json() for g in a] == [g.to_json() for g in b]
 
 
+def test_goal_set_counts_must_not_be_negative():
+    kb = generate_kb(seed=7, n_movies=30)
+    with pytest.raises(GenerationError, match="must be >= 0, got -5"):
+        generate_goal_set(kb, {1: 2, 2: -5}, seed=0)
+    assert len(generate_goal_set(kb, {1: 2, 2: 0}, seed=0)) == 2
+
+
 def test_goal_set_exhaustion_fails():
     kb = generate_kb(seed=7, n_movies=1)
     with pytest.raises(GenerationError):

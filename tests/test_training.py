@@ -133,6 +133,13 @@ def test_config_from_json_accepts_int_floats_and_null_planning():
     cfg.validate()
 
 
+def test_config_rejects_negative_goal_counts():
+    with pytest.raises(ConfigError, match="goal_counts: every count must be >= 0"):
+        RunConfig.from_json({"goal_counts": {"1": 3, "4": -1}}).validate()
+    with pytest.raises(ConfigError, match="goal_counts"):
+        RunConfig(goal_counts={2: -5}).validate()
+
+
 def test_warm_start_bounds_and_determinism(data):
     kb, goals = data
     snapshots = []

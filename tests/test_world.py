@@ -1,14 +1,17 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from dialogrl.agent import DqnAgent, Experience, ReplayBuffer
 from dialogrl.curiosity import CuriosityModel
 from dialogrl.curriculum import build_buffers, sample_goal
-from dialogrl.domain import (DEFAULT_GOAL_COUNTS, Intent, Slot, default_roster,
-                             generate_goal_set, generate_kb)
-from dialogrl.env import MAX_TURN_BUCKETS, STATE_DIM, DialogEnv, RewardConfig, RuleAgent
+from dialogrl.domain import (DEFAULT_GOAL_COUNTS, DialogAct, Intent, KnowledgeBase, Slot,
+                             default_roster, generate_goal_set, generate_kb)
+from dialogrl.env import (KB_BUCKET, MAX_TURN_BUCKETS, OUTSTANDING, STATE_DIM, USER_INFORMED,
+                          DialogEnv, RewardConfig, RuleAgent, encode_state)
 from dialogrl.errors import ContractViolation
-from dialogrl.world import WorldModel, encode_inputs, plan
+from dialogrl.world import WorldModel, encode_inputs, plan, play_round
 
 STATE, ACTIONS, USER = 12, 5, 7
 
@@ -305,12 +308,27 @@ def brute_force_count(kb, state):
     return sum(rec.matches(constraints) for rec in kb.records)
 
 
-def test_kb_match_count_tracks_constraints(planning_setup, monkeypatch):
+@pytest.fixture(scope="module")
+def patient_wm():
+    """A world model whose rollouts end on many different turns, some at the
+    turn cap (the untrained one ends most of them within two turns), and
+    whose user informs, the acts that add constraints, come more often."""
+    wm = WorldModel(seed=0)
+    wm.net.head_params["termination"][-1][1][:] = -0.4  # the output layer's biases
+    wm.net.head_params["user_action"][-1][1][:13] += 0.5  # the 13 inform templates
+    return wm
+
+
+def first_match(kb, constraints):
+    return next((rec for rec in kb.records if rec.matches(constraints)), None)
+
+
+def test_kb_match_count_tracks_constraints(planning_setup, patient_wm, monkeypatch):
     # The tracker recounts KB matches only when its constraints change; the
     # count must still equal a full scan after every real step and every
     # planned turn. Accepted answers narrow the match set only on a KB
     # large enough to hold near-duplicate records, hence the canonical sizes.
-    _, _, roster, agent, wm = planning_setup
+    roster = planning_setup[2]
     kb = generate_kb(seed=7, n_movies=991)
     buffers = build_buffers(generate_goal_set(kb, DEFAULT_GOAL_COUNTS, seed=3))
     rng = np.random.default_rng(5)
@@ -326,8 +344,7 @@ def test_kb_match_count_tracks_constraints(planning_setup, monkeypatch):
         act = realize(self, action_index)
         slot = next(iter(act.inform_slots), None)
         if act.intent == Intent.INFORM and slot != Slot.TASKCOMPLETE:
-            constraints = {**self.state.user_informs, **self.state.accepted}
-            first = next((rec for rec in kb.records if rec.matches(constraints)), None)
+            first = first_match(kb, {**self.state.user_informs, **self.state.accepted})
             informs.append((act.inform_slots[slot],
                             first.values[slot] if first is not None else "no match available"))
         return act
@@ -342,17 +359,172 @@ def test_kb_match_count_tracks_constraints(planning_setup, monkeypatch):
             assert state.kb_match_count == brute_force_count(kb, state)
         accepted += len(state.accepted)
     assert accepted > 0
-
-    planned = []
-    apply_user = DialogEnv.apply_simulated_user_act
-
-    def checked(self, template):
-        apply_user(self, template)
-        planned.append((self.state.kb_match_count, brute_force_count(kb, self.state)))
-
-    monkeypatch.setattr(DialogEnv, "apply_simulated_user_act", checked)
-    plan(agent, CuriosityModel(seed=2), wm, goal_sampler(buffers), rounds=2, dialogs_per_round=5,
-         sim_buffer=ReplayBuffer(kind="simulated"), kb=kb, roster=roster,
-         rng=np.random.default_rng(3))
-    assert planned and all(got == want for got, want in planned)
     assert len(informs) > 100 and all(got == want for got, want in informs)
+
+    # Planning keeps its tracker state in arrays, so replay every planned
+    # turn from its states by brute force: the constraints are the goal
+    # slots the state marks user-informed plus the answers accepted so far.
+    # An inform's value matters in planning only where it may answer an
+    # outstanding request: the answer must be the lowest-id matching
+    # record's value, accepted exactly when the goal, the earlier answers
+    # and it still match a record.
+    goals = []
+
+    def sampler(r):
+        goals.append(sample_goal(buffers, "all", r))
+        return goals[-1]
+
+    sim = ReplayBuffer(kind="simulated")
+    plan(DqnAgent(seed=0, epsilon=0.5), CuriosityModel(seed=2), patient_wm, sampler, rounds=3,
+         dialogs_per_round=10, sim_buffer=sim, kb=kb, roster=roster, rng=np.random.default_rng(3),
+         rewards=RewardConfig(max_turns=20))
+    exps = iter(sim)
+    runs = sum((rollouts(exps, 10) for _ in range(3)), [])
+    assert next(exps, None) is None and len(runs) == len(goals)
+    seen = Counter()
+    for goal, run in zip(goals, runs):
+        answered = {}
+
+        def constraints(s):
+            told = {q: v for q, v in goal.inform_slots.items() if s[USER_INFORMED + q]}
+            return {**told, **answered}
+
+        def count(s):
+            return sum(r.matches(constraints(s)) for r in kb.records)
+
+        assert kb_bucket(run[0].s) == min(2, count(run[0].s))
+        for e in run:
+            assert set(np.flatnonzero(e.s_next[USER_INFORMED:OUTSTANDING])) <= set(goal.inform_slots)
+            template = roster.agent_actions[e.a]
+            slot = next(iter(template.inform_slots), None)
+            if template.intent == Intent.INFORM and slot != Slot.TASKCOMPLETE and e.s[OUTSTANDING + slot]:
+                hits = [r for r in kb.records if r.matches(constraints(e.s))]
+                value = hits[0].values[slot] if hits else "no match available"
+
+                def accepts(v):
+                    return first_match(kb, {**goal.inform_slots, **answered, slot: v}) is not None
+
+                ok = accepts(value)
+                assert e.s_next[OUTSTANDING + slot] == (not ok)
+                # a tracker that answered with another hit's value would fail here
+                seen["value decides"] += any(accepts(r.values[slot]) != ok for r in hits[1:])
+                seen["accepted" if ok else "refused"] += 1
+                if ok:
+                    answered[slot] = value
+            want = count(e.s_next)
+            assert kb_bucket(e.s_next) == min(2, want)
+            seen["user inform narrows"] += (kb_bucket(e.s_next) != kb_bucket(e.s)
+                                            and not (e.s_next[USER_INFORMED:OUTSTANDING]
+                                                     == e.s[USER_INFORMED:OUTSTANDING]).all())
+            seen["planned"] += 1
+    assert seen["planned"] == len(sim)
+    assert min(seen.values()) > 0, seen
+
+
+def kb_bucket(s):
+    return int(np.argmax(s[KB_BUCKET:]))
+
+
+def reference_round(agent, curiosity, world_model, goal_sampler, seeds, kb, roster, rewards, seen):
+    """Planning's per-rollout loop before its tracker state moved to arrays:
+    one DialogEnv per rollout, stepped by ``apply_agent_act`` and a user act
+    realized from the goal. ``seen`` counts accepted answers and informs
+    made with no matching record."""
+
+    def apply_simulated_user_act(env, template):
+        if template.intent == Intent.INFORM:
+            slot = next(iter(template.inform_slots))
+            act = DialogAct(Intent.INFORM, {slot: env.goal.inform_slots.get(slot, "unknown")})
+        elif template.intent == Intent.REQUEST:
+            act = DialogAct(Intent.REQUEST, request_slots=template.request_slots)
+        else:
+            act = DialogAct(template.intent)
+        env._record_user_informs(act)
+        env.state.last_user_act = act
+
+    rngs = [np.random.default_rng(int(seed)) for seed in seeds]
+    envs = []
+    for r in rngs:
+        env = DialogEnv(kb, roster, rewards, rng=r)
+        env.reset(goal_sampler(r))
+        envs.append(env)
+    s = np.stack([encode_state(env.state) for env in envs])
+    rows = list(s)
+    while envs:
+        bonus = curiosity.values(s) if curiosity is not None else None
+        actions = agent.select_actions(s, rngs, bonus)
+        for env, a in zip(envs, actions):
+            act = env.realize_agent_action(int(a))
+            seen["no match"] += "no match available" in act.inform_slots.values()
+            before = len(env.state.accepted)
+            env.apply_agent_act(act)
+            seen["accepted"] += len(env.state.accepted) - before
+        probs, reward, p_done = world_model.predict(s, actions)
+        user_idx = probs.argmax(axis=1)
+        s_next = np.empty_like(s)
+        next_rows = list(s_next)
+        alive = []
+        for i, env in enumerate(envs):
+            apply_simulated_user_act(env, roster.user_actions[int(user_idx[i])])
+            s_next[i] = encode_state(env.state)
+            done = bool(p_done[i] > 0.5 or env.state.turn >= rewards.max_turns)
+            yield Experience(rows[i], int(actions[i]), float(reward[i]),
+                             int(user_idx[i]), next_rows[i], done)
+            if not done:
+                alive.append(i)
+        envs = [envs[i] for i in alive]
+        rngs = [rngs[i] for i in alive]
+        rows = [next_rows[i] for i in alive]
+        s = s_next if len(alive) == len(actions) else s_next[alive]
+
+
+def assert_rounds_match(agent, curiosity, wm, sampler, kb, roster, max_turns, rounds=3, n=12):
+    """play_round against the reference on ``rounds`` rounds; returns the
+    reference's counts and every rollout's length."""
+    rewards = RewardConfig(max_turns=max_turns)
+    seen = {"accepted": 0, "no match": 0}
+    ends = []
+    for k in range(rounds):
+        seeds = np.random.default_rng(k).integers(1 << 63, size=n)
+        got = list(play_round(agent, curiosity, wm, sampler, seeds, kb, roster, rewards))
+        want = list(reference_round(agent, curiosity, wm, sampler, seeds, kb, roster, rewards, seen))
+        fields = [[(e.s.tobytes(), e.a, e.r, e.a_user, e.s_next.tobytes(), e.done) for e in exps]
+                  for exps in (got, want)]
+        assert fields[0] == fields[1]
+        assert [type(x) for x in fields[0][0]] == [bytes, int, float, int, bytes, bool]
+        for run in rollouts(iter(got), n):
+            assert all(prev.s_next is nxt.s for prev, nxt in zip(run, run[1:]))
+            ends.append(len(run))
+    return seen, ends
+
+
+@pytest.mark.parametrize("with_curiosity", [False, True])
+def test_play_round_matches_per_rollout_reference(planning_setup, patient_wm, with_curiosity):
+    roster = planning_setup[2]
+    kb = generate_kb(seed=7, n_movies=991)
+    buffers = build_buffers(generate_goal_set(kb, DEFAULT_GOAL_COUNTS, seed=3))
+    agent = DqnAgent(seed=1, epsilon=0.3)
+    curiosity = CuriosityModel(seed=2) if with_curiosity else None
+    seen, ends = assert_rounds_match(agent, curiosity, patient_wm, goal_sampler(buffers), kb, roster,
+                                     max_turns=12)
+    assert seen["accepted"] > 0
+    assert 12 in ends and len(set(ends)) > 2  # the cap is hit, and rollouts end on different turns
+
+
+class AnyAnswerKB(KnowledgeBase):
+    """A KB that admits every goal and every answer but matches exactly,
+    so that a goal naming a movie it lacks leaves the hits empty."""
+
+    def match_count(self, constraints):
+        return max(1, super().match_count(constraints))
+
+
+def test_play_round_matches_reference_with_no_match(planning_setup, patient_wm):
+    roster = planning_setup[2]
+    kb = AnyAnswerKB(generate_kb(seed=7, n_movies=80).records)
+    goals = generate_goal_set(kb, {2: 4, 3: 4}, seed=3)
+    goals[0].inform_slots[Slot.MOVIENAME] = "no such movie"
+    sampler = lambda r: goals[int(r.integers(len(goals)))]
+    seen, ends = assert_rounds_match(DqnAgent(seed=2, epsilon=0.5), None, patient_wm, sampler, kb, roster,
+                                     max_turns=9)
+    assert seen["no match"] > 0 and seen["accepted"] > 0
