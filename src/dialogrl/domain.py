@@ -273,8 +273,9 @@ class MovieRecord:
     @classmethod
     def from_json(cls, obj: dict) -> "MovieRecord":
         values = {_parse_slot(k): str(v) for k, v in obj.items()}
-        if Slot.MOVIENAME not in values:
-            raise ParseError("KB record missing moviename")
+        missing = [s.label for s in INFORMABLE_SLOTS if s not in values]
+        if missing:  # an agent inform reads its slot from any matching record
+            raise ParseError(f"KB record missing {', '.join(missing)}")
         if any(not v for v in values.values()):
             raise ParseError("KB record has an empty value")
         return cls(values)

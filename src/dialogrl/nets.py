@@ -16,6 +16,9 @@ vector of the same layout.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import hashlib
 import json
 from collections.abc import Callable
@@ -493,6 +496,59 @@ class MlpModel:
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed checkpoint: {exc}") from exc
         return model
+
+
+@functools.cache
+def blas_thread_control():
+    """``(get, set)`` of the loaded OpenBLAS's thread count, or None if none is found.
+
+    Looks through the loaded libraries whose path contains "openblas"
+    (read from ``/proc/self/maps``, so Linux only) for a getter and a setter
+    under the names numpy's wheels (``scipy_openblas_*_num_threads64_``) and
+    plain builds (``openblas_*_num_threads``) export.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:  # the path is a line's sixth field
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    set_.restype, set_.argtypes = None, [ctypes.c_int]
+                    return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold OpenBLAS to one thread inside the block, then restore the caller's count.
+
+    Of this package's products only the 116-row curiosity value blocks and
+    the 512-row target forwards are large enough for OpenBLAS to split
+    across threads, and its helper thread then spins on the CPU a planning
+    worker needs. One thread gives the same bytes. Does nothing where
+    ``blas_thread_control`` finds no control.
+    """
+    control = blas_thread_control()
+    if control is None:
+        yield
+        return
+    get, set_ = control
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def mlp_new(spec: MlpSpec, seed: int = 0) -> MlpModel:

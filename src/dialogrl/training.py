@@ -12,11 +12,15 @@ lockstep through one loop: each turn makes one batched Q forward (and, with
 curiosity, one batched value pass) over the dialogs still running, while
 every dialog steps its own env against the user simulator.
 
-With at least two planning rounds and two CPUs, a Trainer forks one worker
-process at its first planning call, which plays the odd rounds of every
-``plan`` call (see ``world.PlanWorker``); run outputs stay byte-identical.
-``close`` (called at the end of ``run``, on errors, and when the Trainer is
-collected) ends it; a pickled Trainer leaves it behind.
+With at least two planning rollouts per epoch and two CPUs, a Trainer forks
+one worker process at its first planning call, which plays the second half
+of every ``plan`` call's rollouts (see ``world.PlanWorker``); run outputs do
+not depend on it. ``close`` (called at the end of ``run``, on errors, and
+when the Trainer is collected) ends it; a pickled Trainer leaves it behind.
+
+An epoch holds OpenBLAS to one thread (``nets.one_blas_thread``), so its
+spinning helper thread does not take the worker's CPU; the worker, forked
+inside an epoch, keeps one thread.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from .domain import (
 )
 from .env import DialogEnv, RewardConfig, RuleAgent, encode_state
 from .errors import ConfigError
+from .nets import one_blas_thread
 from .seeding import spawn_rng
 from .world import PlanWorker, WorldModel, can_plan_in_parallel, plan, play_round
 
@@ -301,7 +306,7 @@ class Trainer:
         self.epoch_reports: list[EpochReport] = []
         self.eval_reports: list[EvalReport] = []
         self._warm_started = False
-        self._worker: PlanWorker | None = None  # plays every other planning round
+        self._worker: PlanWorker | None = None  # plays half of each epoch's planning
 
     def __getstate__(self):
         return {**self.__dict__, "_worker": None}
@@ -380,6 +385,7 @@ class Trainer:
         bonus = self.curiosity.values(s) if self.curiosity is not None else None
         return self.agent.select_actions(s, [self.rngs["explore"]] * len(envs), bonus)
 
+    @one_blas_thread()
     def run_epoch(self, epoch: int) -> EpochReport:
         if not self._warm_started:
             raise ConfigError("run_epoch called before warm_start")
@@ -415,7 +421,7 @@ class Trainer:
                     lambda rng: sample_goal(self.buffers, level, rng),
                     cfg.planning_rounds, dialogs, self.sim_buffer,
                     self.kb, self.roster, self.rngs["plan"], self.rewards,
-                    worker=self._plan_worker(level),
+                    worker=self._plan_worker(level, cfg.planning_rounds * dialogs),
                 )
             except BaseException:
                 self.close()  # the worker may be mid-job: kill it
@@ -459,14 +465,13 @@ class Trainer:
 
     # ---- planning on a second process -------------------------------------------
 
-    def _plan_worker(self, level: str):
+    def _plan_worker(self, level: str, rollouts: int):
         """``plan``'s worker for this epoch, or None to plan in-process.
 
-        The worker is forked at the first call with at least two planning
-        rounds, when this process may run on two CPUs, and kept until
-        ``close``.
+        The worker is forked at the first call with at least two rollouts,
+        when this process may run on two CPUs, and kept until ``close``.
         """
-        if self.config.planning_rounds < 2:
+        if rollouts < 2:
             return None
         if self._worker is None:
             if not can_plan_in_parallel():

@@ -5,22 +5,24 @@ user action templates, a scalar reward, and a termination probability.
 Planning applies the real dialog tracker's rules but takes the user's move,
 the reward, and the episode end from the model instead of the simulator.
 
-The rollouts of one planning round advance in lockstep: each turn runs one
-batched forward of the Q-net, the curiosity value head and the world model
-over the rollouts still running, and updates their tracker state, kept as
-arrays, with one set of numpy ops.
+The rollouts of one ``play_round`` batch advance in lockstep: each turn
+runs one batched forward of the Q-net, the curiosity value head and the
+world model over the rollouts still running, and updates their tracker
+state, kept as arrays, with one set of numpy ops.
 Each rollout draws its goal, its first user act and its epsilon-greedy
 choices from its own rng stream, seeded from draws on the planning rng, so
-one rollout's draws do not depend on when the others end. A round's
+one rollout's draws do not depend on when the others end. A batch's
 experiences are stored turn by turn, in rollout order, and a rollout's
 next-state row is the very array its next experience stores as its state.
 
-The rounds of one ``plan`` call are independent: every round's seeds are
-drawn up front and the nets do not change during the call. So a
-``PlanWorker``, a process forked once per Trainer, can play the odd rounds
-while the caller plays the even ones, and ``plan`` stores each round in
-round order as soon as it is ready. The stored experiences, and so every
-run output, are byte-identical to planning in one process.
+The rollouts of one ``plan`` call are independent: every round's seeds are
+drawn up front and the nets do not change during the call. So ``plan``
+plays all of them as two lockstep batches, halves of the concatenated
+seeds: the caller plays the first half (one more when the count is odd),
+while a ``PlanWorker``, a process forked once per Trainer, plays the
+second, and ``plan`` stores the first half and then the second. Without
+a worker the caller plays both halves in the same order, so the stored
+experiences, and every run output, do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ class WorldModel:
 
 def play_round(agent: DqnAgent, curiosity, world_model: WorldModel, goal_sampler, seeds,
                kb: KnowledgeBase, roster: ActionRoster, rewards: RewardConfig) -> Iterator[Experience]:
-    """One planning round: a rollout per seed, advancing in lockstep.
+    """One batch of planning rollouts: one per seed, advancing in lockstep.
 
     Each rollout is reset through its own ``DialogEnv``, which draws its goal
     and the simulator's first user act. From then on the tracker state of
@@ -132,9 +134,9 @@ def play_round(agent: DqnAgent, curiosity, world_model: WorldModel, goal_sampler
     constraint). Per-rollout Python runs only for agent informs that answer
     an outstanding request and for rows whose KB constraints change.
 
-    Yields the round's experiences turn by turn, in rollout order: the
+    Yields the batch's experiences turn by turn, in rollout order: the
     order ``plan`` stores them in. Storing each as it comes lets the buffer
-    evict old experiences as the round goes: collecting whole rounds first
+    evict old experiences as the batch goes: collecting whole rounds first
     raised the peak memory of the benchmark's ``scddq_emd`` by about 0.9 MB.
     """
     agent_intent, agent_column, answers, user_intent, user_informs = _act_tables(roster)
@@ -238,26 +240,29 @@ def plan(agent: DqnAgent, curiosity, world_model: WorldModel, goal_sampler,
 
     The user's move is the argmax of the model's user-action head; episodes
     end when the termination head crosses 0.5 or the turn cap is reached.
-    ``worker(seeds) -> next_round``, when given and there are at least two
-    rounds, starts the odd rounds (one seed array each) in another process
-    and returns a function that returns their experiences, one round per
-    call, in order (``PlanWorker.start``). Returns the number of experiences
-    stored (always into sim_buffer).
+    Each round draws its rollouts' seeds from ``rng``; the ``rounds *
+    dialogs_per_round`` rollouts then play as two lockstep batches through
+    ``play_round``, the first half of the seeds (one more when their count
+    is odd) and the second half, and are stored in that order.
+    ``worker(seeds) -> experiences``, when given, starts the second half in
+    another process while this one plays the first (``PlanWorker.start``).
+    Returns the number of experiences stored (always into sim_buffer).
     """
     if sim_buffer.kind != "simulated":
         raise ContractViolation("planning writes to the simulated buffer only")
     if dialogs_per_round < 1:
         raise ContractViolation(f"planning needs at least one dialog per round, got {dialogs_per_round}")
+    if rounds < 1:
+        return 0
     rewards = rewards if rewards is not None else RewardConfig()
-    seeds = [rng.integers(1 << 63, size=dialogs_per_round) for _ in range(rounds)]
-    remote = worker(seeds[1::2]) if worker is not None and rounds > 1 else None
+    seeds = np.concatenate([rng.integers(1 << 63, size=dialogs_per_round) for _ in range(rounds)])
+    first, second = np.array_split(seeds, 2)
+    halves = [play_round(agent, curiosity, world_model, goal_sampler, first, kb, roster, rewards)]
+    if len(second):
+        halves.append(worker(second) if worker is not None else
+                      play_round(agent, curiosity, world_model, goal_sampler, second, kb, roster, rewards))
     stored = 0
-    for k, round_seeds in enumerate(seeds):
-        if remote is not None and k % 2:
-            exps = remote()
-        else:
-            exps = play_round(agent, curiosity, world_model, goal_sampler, round_seeds,
-                              kb, roster, rewards)
+    for exps in halves:
         for exp in exps:
             sim_buffer.append(exp)
             stored += 1
@@ -270,24 +275,24 @@ def can_plan_in_parallel() -> bool:
 
 
 class PlanWorker:
-    """A forked process that plays planning rounds on request.
+    """A forked process that plays batches of planning rollouts on request.
 
     ``play(job, seeds) -> Iterable[Experience]`` runs in the worker, on the
     worker's copy of ``nets`` (forked with them); each job first sends every
     net's ``theta``, so the worker plays with the parent's current weights.
-    A round comes back as raw bytes, not pickled Experience objects: a
+    A batch comes back as raw bytes, not pickled Experience objects: a
     float64 matrix per turn of its state rows, read straight into the array
     that keeps them, plus per-transition columns. The parent rebuilds each
     Experience from row views of those matrices, so a rollout's ``s_next``
     is still the very array its next experience stores as ``s``. The worker
-    exits on EOF of its command pipe. An error in a round is sent back,
-    re-raised in the parent by ``next_round``, and ends the worker; after
+    exits on EOF of its command pipe. An error in a batch is sent back,
+    re-raised in the parent as the batch is read, and ends the worker; after
     any error the owner calls ``close``, which kills a worker still busy.
     """
 
     def __init__(self, nets: list[MlpModel], play):
         self._nets = nets
-        self._pending = 0  # rounds started and not yet received
+        self._busy = False  # a batch was started and not yet read
         cmd_r, cmd_w = os.pipe()
         res_r, res_w = os.pipe()
         for fd in (cmd_w, res_w):
@@ -305,21 +310,22 @@ class PlanWorker:
         self._cmd = open(cmd_w, "wb")
         self._res = open(res_r, "rb")
 
-    def start(self, job, seeds: list[np.ndarray]):
-        """Start one round per seed array; returns ``next_round`` for ``plan``."""
-        self._pending += len(seeds)
+    def start(self, job, seeds: np.ndarray) -> Iterator[Experience]:
+        """Start one batch of rollouts, one per seed; returns its experiences
+        for ``plan``, read as they are iterated."""
+        self._busy = True
         pickle.dump((job, seeds), self._cmd)
         for net in self._nets:
             self._cmd.write(net.theta)
         self._cmd.flush()
-        return self.next_round
+        return self._receive()
 
-    def next_round(self) -> Iterator[Experience]:
-        """The next started round's experiences, in order, as they are read.
+    def _receive(self) -> Iterator[Experience]:
+        """The started batch's experiences, in order, as they are read.
 
-        A round is read turn by turn into arrays shaped like in-process
+        A batch is read turn by turn into arrays shaped like in-process
         planning's, one per turn, so storing each experience as it comes
-        lets the buffer free old turns as the round goes.
+        lets the buffer free old turns as the batch goes.
         """
         try:
             head = pickle.load(self._res)
@@ -338,13 +344,13 @@ class PlanWorker:
                 yield Experience(states[s], a, rewards[k], a_user, next_states[j], bool(done))
                 k += 1
             states = next_states
-        self._pending -= 1
+        self._busy = False
 
     def close(self) -> None:
         """End and reap the worker: at once if it is busy, else by EOF."""
         if self.pid is None:
             return
-        if self._pending:
+        if self._busy:
             os.kill(self.pid, signal.SIGKILL)
         for pipe in (self._cmd, self._res):
             with contextlib.suppress(OSError):  # a dead worker's pipe
@@ -355,8 +361,8 @@ class PlanWorker:
 
 
 def _widen_pipe(fd: int) -> None:
-    """Let the pipe hold a whole job's weights, and most rounds, so a writer
-    seldom waits for the reader (Linux only; else the default 64 KiB)."""
+    """Let the pipe hold a whole job's weights, and much of a batch, so a
+    writer seldom waits for the reader (Linux only; else the default 64 KiB)."""
     with contextlib.suppress(ImportError, AttributeError, OSError):
         import fcntl
 
@@ -380,7 +386,7 @@ def _close_fds_except(*keep: int) -> None:
 
 
 def _serve(cmd, res, nets: list[MlpModel], play) -> None:
-    """The worker's loop: per job, load the weights, then play and send each round."""
+    """The worker's loop: per job, load the weights, then play the batch and send it."""
     while True:
         try:
             job, seeds = pickle.load(cmd)
@@ -388,23 +394,23 @@ def _serve(cmd, res, nets: list[MlpModel], play) -> None:
             return
         for net in nets:
             _read_array(cmd, net.theta)
-        for round_seeds in seeds:
+        try:
+            exps = list(play(job, seeds))
+        except Exception as exc:
             try:
-                exps = list(play(job, round_seeds))
-            except Exception as exc:
-                try:
-                    payload = pickle.dumps(exc)
-                except Exception:  # the error does not pickle
-                    payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-                res.write(payload)
-                res.flush()
-                return
-            _send_round(res, exps)
+                payload = pickle.dumps(exc)
+            except Exception:  # the error does not pickle
+                payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+            res.write(payload)
+            res.flush()
+            return
+        _send_round(res, exps)
 
 
 def _send_round(res, exps: list[Experience]) -> None:
-    """One round as raw arrays: the first turn's states, then each turn's
-    next states, one row per transition, plus per-transition columns."""
+    """One ``play_round`` batch as raw arrays: the first turn's states, then
+    each turn's next states, one row per transition, plus per-transition
+    columns."""
     turns, reached = [[]], set()
     for exp in exps:
         if id(exp.s) in reached:  # a state this turn reached: the next turn has begun

@@ -143,6 +143,26 @@ def test_train_mistyped_config_exit_2(tmp_path, capsys, overrides):
     assert not (tmp_path / "runs").exists()
 
 
+def test_train_kb_missing_a_slot_exit_2(tmp_path, capsys):
+    # goals that never constrain the theater but may request it, so the
+    # agent's first inform of it would look it up in a record that lacks it
+    kb_path, goals_path = make_data(tmp_path, movies=30)
+    records = json.loads(kb_path.read_text())
+    for record in records:
+        del record["theater"]
+    kb_path.write_text(json.dumps(records))
+    goals = json.loads(goals_path.read_text())
+    for goal in goals:
+        goal["inform_slots"].pop("theater", None)
+    goals_path.write_text(json.dumps(goals))
+    rc = main(["train", "--config", str(tiny_train_config(tmp_path, kb_path, goals_path))])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert "KB record missing theater" in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_eval_subcommand(tmp_path, capsys):
     kb_path, goals_path = make_data(tmp_path)
     config = tiny_train_config(tmp_path, kb_path, goals_path)

@@ -194,6 +194,17 @@ def test_kb_roundtrip(tmp_path):
     assert loaded.to_json() == kb.to_json()
 
 
+@pytest.mark.parametrize("slot", INFORMABLE_SLOTS, ids=lambda s: s.label)
+def test_load_kb_rejects_record_missing_a_slot(tmp_path, slot):
+    # an agent inform of a slot reads it from any matching record
+    records = generate_kb(seed=9, n_movies=3).to_json()
+    del records[1][slot.label]
+    path = tmp_path / "kb.json"
+    path.write_text(json.dumps(records))
+    with pytest.raises(ParseError, match=f"KB record missing {slot.label}$"):
+        load_kb(path)
+
+
 def test_load_truncated_file(tmp_path):
     path = tmp_path / "goals.json"
     path.write_text('[{"request_slots": ["ticket"], "inform_')

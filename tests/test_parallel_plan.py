@@ -9,6 +9,7 @@ import pytest
 
 import dialogrl.training as training
 from dialogrl.errors import NumericError
+from dialogrl.nets import blas_thread_control
 from dialogrl.training import RunConfig, Trainer, load_run_data, run_experiment
 from dialogrl.world import PlanWorker, can_plan_in_parallel
 
@@ -60,8 +61,13 @@ def run_dir_files(run_dir):
     return {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
 
 
-@pytest.mark.parametrize("method, schedule, capacity", [("SC-DDQ", "EMD", 5000), ("DDQ", "RANDOM", 40)])
-def test_worker_planning_matches_in_process(tmp_path, data, monkeypatch, method, schedule, capacity):
+@pytest.mark.parametrize("method, schedule, capacity, rounds, dialogs", [
+    pytest.param("SC-DDQ", "EMD", 5000, 3, 3, id="SC-DDQ-EMD-5000"),  # 9 rollouts: 5 here, 4 in the worker
+    pytest.param("DDQ", "RANDOM", 40, 3, 3, id="DDQ-RANDOM-40"),
+    pytest.param("DDQ", "RANDOM", 5000, 2, 4, id="DDQ-RANDOM-5000-even"),  # 8 rollouts, 4 each
+])
+def test_worker_planning_matches_in_process(tmp_path, data, monkeypatch, method, schedule, capacity,
+                                            rounds, dialogs):
     kb, goals = data
     trainers, started = [], []
     real_run, real_start = Trainer.run, PlanWorker.start
@@ -82,10 +88,11 @@ def test_worker_planning_matches_in_process(tmp_path, data, monkeypatch, method,
         run_root = tmp_path / str(parallel)
         run_root.mkdir()
         monkeypatch.chdir(run_root)  # the same relative out_dir, so config.json compares too
-        cfg = tiny_config(method=method, schedule=schedule, buffer_capacity=capacity, out_dir="runs")
+        cfg = tiny_config(method=method, schedule=schedule, buffer_capacity=capacity, out_dir="runs",
+                          planning_rounds=rounds, planning_dialogs_per_round=dialogs)
         outs[parallel] = run_dir_files(run_experiment(cfg, kb, goals)), buffer_record(trainers[-1].sim_buffer)
-    # three rounds per epoch: the worker played one of them every epoch
-    assert started == [1] * 8
+    # every epoch the worker played the second half of the rollouts, the smaller one for an odd count
+    assert started == [rounds * dialogs // 2] * 8
     files, (fields, successors) = outs[True]
     assert files == outs[False][0]
     assert {"metrics.csv", "eval.csv", "actions.csv", "config.json",
@@ -112,9 +119,10 @@ def test_worker_needs_two_cpus(data):
 
 
 def test_one_planning_round_forks_nothing(data, monkeypatch):
+    # one rollout has no second half to hand over
     monkeypatch.setattr(training, "can_plan_in_parallel", lambda: True)
     kb, goals = data
-    tr = Trainer(tiny_config(planning_rounds=1), kb, goals)
+    tr = Trainer(tiny_config(planning_rounds=1, planning_dialogs_per_round=1), kb, goals)
     tr.warm_start()
     tr.run_epoch(0)
     assert tr._worker is None
@@ -133,6 +141,50 @@ def test_worker_error_reaches_parent_with_its_type(data, monkeypatch):
     tr.warm_start()
     with pytest.raises(NumericError, match="forced in the worker"):
         tr.run_epoch(0)
+    assert_no_children()
+
+
+def test_epoch_holds_blas_to_one_thread(data, monkeypatch):
+    control = blas_thread_control()
+    if control is None:
+        pytest.skip("no OpenBLAS thread-count control found among the loaded libraries")
+    get, set_ = control
+    monkeypatch.setattr(training, "can_plan_in_parallel", lambda: True)
+    seen = []
+    real_plan = training.plan
+
+    def plan(*args, **kwargs):
+        seen.append(get())
+        if len(seen) == 2:
+            raise NumericError("forced in planning")
+        return real_plan(*args, **kwargs)
+
+    def worker_round(self, level, seeds):  # runs in the worker only
+        raise NumericError(f"worker BLAS threads: {get()}")
+
+    kb, goals = data
+    original = get()
+    set_(3)  # the caller's count: neither 1 nor OpenBLAS's default on a 2-CPU machine
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(training, "plan", plan)
+            tr = Trainer(tiny_config(), kb, goals)
+            tr.warm_start()
+            tr.run_epoch(0)
+            assert get() == 3
+            with pytest.raises(NumericError, match="forced in planning"):
+                tr.run_epoch(1)
+            assert get() == 3
+        assert seen == [1, 1]
+        # the worker, forked inside an epoch, keeps one thread
+        monkeypatch.setattr(Trainer, "_play_round", worker_round)
+        tr = Trainer(tiny_config(), kb, goals)
+        tr.warm_start()
+        with pytest.raises(NumericError, match="worker BLAS threads: 1$"):
+            tr.run_epoch(0)
+        assert get() == 3
+    finally:
+        set_(original)
     assert_no_children()
 
 

@@ -211,6 +211,32 @@ def test_plan_deterministic(planning_setup):
     assert traces[0] == traces[1]
 
 
+@pytest.mark.parametrize("with_curiosity", [False, True])
+def test_plan_stores_first_half_then_second(planning_setup, patient_wm, with_curiosity):
+    # 3 rounds x 5 rollouts play as two lockstep batches of 8 and 7, whatever
+    # the number of CPUs; the round structure leaves no trace in the buffer
+    kb, buffers, roster, _, _ = planning_setup
+    agent = DqnAgent(seed=1, epsilon=0.3)
+    curiosity = CuriosityModel(seed=2) if with_curiosity else None
+    rewards = RewardConfig(max_turns=9)
+    sim = ReplayBuffer(kind="simulated")
+    n = plan(agent, curiosity, patient_wm, goal_sampler(buffers), rounds=3, dialogs_per_round=5,
+             sim_buffer=sim, kb=kb, roster=roster, rng=np.random.default_rng(8), rewards=rewards)
+    rng = np.random.default_rng(8)
+    seeds = np.concatenate([rng.integers(1 << 63, size=5) for _ in range(3)])
+    halves = [list(play_round(agent, curiosity, patient_wm, goal_sampler(buffers), half, kb, roster, rewards))
+              for half in (seeds[:8], seeds[8:])]
+    fields = [[(e.s.tobytes(), e.a, e.r, e.a_user, e.s_next.tobytes(), e.done) for e in exps]
+              for exps in (list(sim), halves[0] + halves[1])]
+    assert n == len(sim) == len(fields[1])
+    assert fields[0] == fields[1]
+    stored = iter(sim)
+    runs = rollouts(stored, 8) + rollouts(stored, 7)
+    assert next(stored, None) is None
+    assert all(prev.s_next is nxt.s for run in runs for prev, nxt in zip(run, run[1:]))
+    assert len({len(run) for run in runs}) > 1  # rollouts end on different turns
+
+
 def rollouts(exps, dialogs_per_round):
     """Take one round's rollouts off the iterator ``exps``.
 
@@ -379,7 +405,7 @@ def test_kb_match_count_tracks_constraints(planning_setup, patient_wm, monkeypat
          dialogs_per_round=10, sim_buffer=sim, kb=kb, roster=roster, rng=np.random.default_rng(3),
          rewards=RewardConfig(max_turns=20))
     exps = iter(sim)
-    runs = sum((rollouts(exps, 10) for _ in range(3)), [])
+    runs = sum((rollouts(exps, 15) for _ in range(2)), [])  # 30 rollouts, played as two halves
     assert next(exps, None) is None and len(runs) == len(goals)
     seen = Counter()
     for goal, run in zip(goals, runs):
