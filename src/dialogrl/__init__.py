@@ -11,7 +11,6 @@ from .domain import (
     default_roster,
     generate_goal_set,
     generate_kb,
-    kb_query,
 )
 from .env import DialogEnv, DialogState, RewardConfig, RuleAgent, StepOutcome, encode_state, judge_success
 
@@ -33,5 +32,4 @@ __all__ = [
     "generate_goal_set",
     "generate_kb",
     "judge_success",
-    "kb_query",
 ]

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import FormatError, ShapeError, read_json
 from .nets import MlpModel, TrainBatch, mlp_new, single_head_spec
 
 log = logging.getLogger(__name__)
@@ -239,15 +239,11 @@ class DqnAgent:
             agent.step_count = int(obj["step_count"])
             agent.q_net = MlpModel.from_json(obj["q_net"])
             agent.target_net = MlpModel.from_json(obj["target_net"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed agent checkpoint: {exc}") from exc
         return agent
 
     @classmethod
     def load(cls, path) -> "DqnAgent":
-        try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"agent checkpoint {path} is not valid JSON") from exc
-        return cls.from_json(obj)
+        return cls.from_json(read_json(path, FormatError, "agent checkpoint"))
 

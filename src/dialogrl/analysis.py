@@ -10,7 +10,6 @@ is compared against. All outputs are data-only CSVs.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .curriculum import strategy_of
-from .errors import AnalysisError
+from .errors import AnalysisError, read_json
 
 N_AGENT_ACTIONS = 29
 RUN_FILES = ("config.json", "eval.csv", "actions.csv")  # what a report reads of a run dir
@@ -119,7 +118,7 @@ class RunArtifacts:
 
 def load_run_dir(run_dir: Path) -> RunArtifacts:
     run_dir = Path(run_dir)
-    config = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
+    config = read_json(run_dir / "config.json", AnalysisError, "run config")
     success, turns = {}, {}
     with open(run_dir / "eval.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))

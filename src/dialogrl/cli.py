@@ -11,8 +11,8 @@ problems, 3 runtime numeric failures.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
+import re
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -32,7 +32,7 @@ from .domain import (
     save_kb,
 )
 from .env import DialogEnv, RewardConfig, encode_state, render_act
-from .errors import AnalysisError, ConfigError, DialogRlError, NumericError, ParseError
+from .errors import AnalysisError, ConfigError, DialogRlError, NumericError, ParseError, read_json
 from .seeding import derive_seed, spawn_rng
 from .training import (
     METHODS,
@@ -96,11 +96,11 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"episodes: must be >= 1, got {args.episodes}")
     run_dir = Path(args.run_dir)
     config = RunConfig.load(run_dir / "config.json")
-    checkpoints = sorted(run_dir.glob("checkpoint_ep*.json"),
-                         key=lambda p: int(p.stem.split("ep")[-1]))
+    checkpoints = sorted((int(m[1]), p) for p in run_dir.glob("checkpoint_ep*.json")
+                         if (m := re.fullmatch(r"checkpoint_ep(\d+)\.json", p.name)))
     if not checkpoints:
         raise ConfigError(f"run_dir: no checkpoints under {run_dir}")
-    path = checkpoints[-1] if args.checkpoint is None else run_dir / args.checkpoint
+    path = checkpoints[-1][1] if args.checkpoint is None else run_dir / args.checkpoint
     if not path.exists():
         raise ConfigError(f"checkpoint: file not found: {path}")
     agent = DqnAgent.load(path)
@@ -206,13 +206,7 @@ def _matrix_worker(payload):
 
 
 def cmd_matrix(args) -> int:
-    try:
-        spec = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config: file not found: {args.config}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: invalid JSON: {exc.msg}")
-    jobs = expand_matrix(spec)
+    jobs = expand_matrix(read_json(args.config, ConfigError, "config"))
     if not jobs:
         print("matrix is empty: nothing to run")
         return EXIT_OK

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GenerationError, ParseError
+from .errors import GenerationError, ParseError, read_json
 
 
 class Slot(IntEnum):
@@ -315,19 +315,11 @@ class KnowledgeBase:
         sets.sort(key=len)
         return set.intersection(*sets)
 
-    def match_ids(self, constraints: dict[Slot, str]) -> list[int]:
-        return sorted(self.hits(constraints))
-
     def match_count(self, constraints: dict[Slot, str]) -> int:
         return len(self.hits(constraints))
 
     def to_json(self) -> list:
         return [rec.to_json() for rec in self.records]
-
-
-def kb_query(kb: KnowledgeBase, constraints: dict[Slot, str]) -> list[MovieRecord]:
-    """All records matching every constraint, in KB order."""
-    return [kb.records[i] for i in kb.match_ids(constraints)]
 
 
 # Value pools for the synthetic KB. Small enough that multi-constraint
@@ -462,10 +454,7 @@ def save_goals(goals: list[UserGoal], path) -> None:
 
 
 def load_goals(path) -> list[UserGoal]:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"goal file {path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    data = read_json(path, ParseError, "goal file")
     if not isinstance(data, list):
         raise ParseError(f"goal file {path}: expected a JSON array")
     return [UserGoal.from_json(obj) for obj in data]
@@ -476,10 +465,7 @@ def save_kb(kb: KnowledgeBase, path) -> None:
 
 
 def load_kb(path) -> KnowledgeBase:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"KB file {path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    data = read_json(path, ParseError, "KB file")
     if not isinstance(data, list):
         raise ParseError(f"KB file {path}: expected a JSON array")
     return KnowledgeBase([MovieRecord.from_json(obj) for obj in data])

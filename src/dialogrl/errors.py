@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one reader of JSON
+input files, which reports every way such a file can fail as one of them."""
+
+import json
+from pathlib import Path
 
 
 class DialogRlError(Exception):
@@ -47,3 +51,23 @@ class EnvSetupError(DialogRlError, RuntimeError):
 
 class AnalysisError(DialogRlError, ValueError):
     """Undefined analytic quantity (empty distribution, zero variance)."""
+
+
+def read_json(path, error: type[DialogRlError], what: str):
+    """The JSON value in the file at ``path``.
+
+    A file that is missing, cannot be read (a directory, say), is not UTF-8
+    or is not JSON raises ``error`` with a one-line message that names the
+    file's role ``what``, its path and the problem.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        problem = "file not found"
+    except OSError as exc:
+        problem = f"cannot read: {exc.strerror or exc}"
+    except UnicodeDecodeError as exc:
+        problem = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+    except json.JSONDecodeError as exc:
+        problem = f"invalid JSON at line {exc.lineno}: {exc.msg}"
+    raise error(f"{what} {path}: {problem}")

@@ -60,7 +60,7 @@ from .domain import (
     load_kb,
 )
 from .env import DialogEnv, RewardConfig, RuleAgent, encode_state
-from .errors import ConfigError
+from .errors import ConfigError, read_json
 from .nets import one_blas_thread
 from .seeding import spawn_rng
 from .world import PlanWorker, WorldModel, can_plan_in_parallel, plan, play_round
@@ -183,13 +183,7 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError(f"config: file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: invalid JSON in {path}: {exc.msg}")
-        return cls.from_json(obj)
+        return cls.from_json(read_json(path, ConfigError, "config"))
 
     @property
     def uses_planning(self) -> bool:
@@ -416,13 +410,9 @@ class Trainer:
             dialogs = (cfg.real_dialogs_per_epoch if cfg.planning_dialogs_per_round is None
                        else cfg.planning_dialogs_per_round)
             try:
-                new_sim = plan(
-                    self.agent, self.curiosity, self.world_model,
-                    lambda rng: sample_goal(self.buffers, level, rng),
-                    cfg.planning_rounds, dialogs, self.sim_buffer,
-                    self.kb, self.roster, self.rngs["plan"], self.rewards,
-                    worker=self._plan_worker(level, cfg.planning_rounds * dialogs),
-                )
+                new_sim = plan(partial(self._play_round, level), cfg.planning_rounds, dialogs,
+                               self.sim_buffer, self.rngs["plan"],
+                               worker=self._plan_worker(level, cfg.planning_rounds * dialogs))
             except BaseException:
                 self.close()  # the worker may be mid-job: kill it
                 raise

@@ -11,17 +11,24 @@ world model over the rollouts still running, and updates their tracker
 state, kept as arrays, with one set of numpy ops.
 Each rollout draws its goal, its first user act and its epsilon-greedy
 choices from its own rng stream, seeded from draws on the planning rng, so
-one rollout's draws do not depend on when the others end. A batch's
-experiences are stored turn by turn, in rollout order, and a rollout's
-next-state row is the very array its next experience stores as its state.
+one rollout's draws do not depend on when the others end.
+
+A batch comes out of ``play_round`` as blocks of arrays: the first turn's
+state matrix, then one ``(s_next, actions, rewards, user_acts, dones)``
+tuple per turn, one row per rollout that took the turn. ``experiences``
+is the one decoder of that format: it yields the batch's experiences turn
+by turn, in rollout order, with each state a row view of its turn's
+matrix, so a rollout's next-state row is the very array its next
+experience stores as its state.
 
 The rollouts of one ``plan`` call are independent: every round's seeds are
 drawn up front and the nets do not change during the call. So ``plan``
 plays all of them as two lockstep batches, halves of the concatenated
 seeds: the caller plays the first half (one more when the count is odd),
 while a ``PlanWorker``, a process forked once per Trainer, plays the
-second, and ``plan`` stores the first half and then the second. Without
-a worker the caller plays both halves in the same order, so the stored
+second and sends its blocks back pickled, and ``plan`` stores the first
+half and then the second, both through ``experiences``. Without a worker
+the caller plays both halves in the same order, so the stored
 experiences, and every run output, do not depend on the number of CPUs.
 """
 
@@ -48,7 +55,6 @@ from .nets import HeadSpec, LayerSpec, MlpModel, MlpSpec, TrainBatch, mlp_new
 log = logging.getLogger(__name__)
 
 TERMINATION_THRESHOLD = 0.5
-PIPE_BYTES = 1 << 20  # the most an unprivileged Linux process may ask for by default
 
 
 def world_model_spec(state_dim: int = 129, n_agent_actions: int = 29,
@@ -122,7 +128,7 @@ class WorldModel:
 
 
 def play_round(agent: DqnAgent, curiosity, world_model: WorldModel, goal_sampler, seeds,
-               kb: KnowledgeBase, roster: ActionRoster, rewards: RewardConfig) -> Iterator[Experience]:
+               kb: KnowledgeBase, roster: ActionRoster, rewards: RewardConfig) -> Iterator:
     """One batch of planning rollouts: one per seed, advancing in lockstep.
 
     Each rollout is reset through its own ``DialogEnv``, which draws its goal
@@ -134,10 +140,15 @@ def play_round(agent: DqnAgent, curiosity, world_model: WorldModel, goal_sampler
     constraint). Per-rollout Python runs only for agent informs that answer
     an outstanding request and for rows whose KB constraints change.
 
-    Yields the batch's experiences turn by turn, in rollout order: the
-    order ``plan`` stores them in. Storing each as it comes lets the buffer
-    evict old experiences as the batch goes: collecting whole rounds first
-    raised the peak memory of the benchmark's ``scddq_emd`` by about 0.9 MB.
+    Yields the batch as blocks: first the first turn's state matrix, one
+    row per seed, then per turn ``(s_next, actions, rewards, user_acts,
+    dones)``, arrays with one row per rollout that took the turn, in
+    rollout order; the rows whose ``done`` is false take the next turn, in
+    the same order. ``experiences`` turns the blocks into experiences.
+    Yielding a turn at a time lets ``plan`` store each as it comes, so the
+    buffer evicts old experiences as the batch goes: collecting whole
+    rounds first raised the peak memory of the benchmark's ``scddq_emd``
+    by about 0.9 MB.
     """
     agent_intent, agent_column, answers, user_intent, user_informs = _act_tables(roster)
     rngs = [np.random.default_rng(int(seed)) for seed in seeds]
@@ -150,7 +161,7 @@ def play_round(agent: DqnAgent, curiosity, world_model: WorldModel, goal_sampler
         rows.append(encode_state(env.state))
     accepted = [{} for _ in rngs]
     s = np.stack(rows)
-    rows = list(s)  # each live rollout's current state, as stored in its experiences
+    yield s
     live = np.arange(len(rngs))  # each live row's rollout
     in_goal = np.zeros((len(rngs), N_SLOTS), dtype=bool)
     for i, goal in enumerate(goals):
@@ -196,16 +207,31 @@ def play_round(agent: DqnAgent, curiosity, world_model: WorldModel, goal_sampler
             s_next[j, KB_BUCKET + min(len(hits[i]), KB_BUCKETS - 1)] = 1.0
 
         done = p_done > TERMINATION_THRESHOLD if turn < rewards.max_turns else np.ones(len(live), dtype=bool)
-        next_rows = list(s_next)
-        yield from map(Experience, rows, actions.tolist(), reward.tolist(), user.tolist(),
-                       next_rows, done.tolist())
+        yield s_next, actions, reward, user, done
         if done.any():
             alive = np.flatnonzero(~done)
             s, in_goal, live = s_next[alive], in_goal[alive], live[alive]
             rngs = [rngs[j] for j in alive]
-            rows = [next_rows[j] for j in alive]
         else:
-            s, rows = s_next, next_rows
+            s = s_next
+
+
+def experiences(blocks) -> Iterator[Experience]:
+    """The experiences of one ``play_round`` batch, from its blocks.
+
+    They come turn by turn, in rollout order: the order ``plan`` stores
+    them in. Every state is a row view of its turn's matrix, and the rows
+    whose ``done`` is false carry over as the next turn's states, so a
+    rollout's ``s_next`` is the very array its next experience stores as
+    ``s``.
+    """
+    blocks = iter(blocks)
+    rows = list(next(blocks))
+    for s_next, actions, rewards, user_acts, dones in blocks:
+        next_rows, dones = list(s_next), dones.tolist()
+        yield from map(Experience, rows, actions.tolist(), rewards.tolist(), user_acts.tolist(),
+                       next_rows, dones)
+        rows = [row for row, done in zip(next_rows, dones) if not done]
 
 
 def _act_tables(roster: ActionRoster):
@@ -232,19 +258,19 @@ def _act_tables(roster: ActionRoster):
                                                         user_intent, user_informs))
 
 
-def plan(agent: DqnAgent, curiosity, world_model: WorldModel, goal_sampler,
-         rounds: int, dialogs_per_round: int, sim_buffer: ReplayBuffer,
-         kb: KnowledgeBase, roster: ActionRoster, rng: np.random.Generator,
-         rewards: RewardConfig | None = None, worker=None) -> int:
+def plan(play, rounds: int, dialogs_per_round: int, sim_buffer: ReplayBuffer,
+         rng: np.random.Generator, worker=None) -> int:
     """Generate simulated experiences by rolling the agent against the model.
 
-    The user's move is the argmax of the model's user-action head; episodes
-    end when the termination head crosses 0.5 or the turn cap is reached.
-    Each round draws its rollouts' seeds from ``rng``; the ``rounds *
-    dialogs_per_round`` rollouts then play as two lockstep batches through
-    ``play_round``, the first half of the seeds (one more when their count
-    is odd) and the second half, and are stored in that order.
-    ``worker(seeds) -> experiences``, when given, starts the second half in
+    ``play(seeds) -> blocks`` plays one lockstep batch, one rollout per
+    seed: ``play_round`` with its nets, goal sampler, KB, roster and
+    rewards bound. The user's move is the argmax of the model's user-action
+    head; episodes end when the termination head crosses 0.5 or the turn
+    cap is reached. Each round draws its rollouts' seeds from ``rng``; the
+    ``rounds * dialogs_per_round`` rollouts then play as two batches, the
+    first half of the seeds (one more when their count is odd) and the
+    second half, and are stored in that order through ``experiences``.
+    ``worker(seeds) -> blocks``, when given, starts the second half in
     another process while this one plays the first (``PlanWorker.start``).
     Returns the number of experiences stored (always into sim_buffer).
     """
@@ -254,16 +280,14 @@ def plan(agent: DqnAgent, curiosity, world_model: WorldModel, goal_sampler,
         raise ContractViolation(f"planning needs at least one dialog per round, got {dialogs_per_round}")
     if rounds < 1:
         return 0
-    rewards = rewards if rewards is not None else RewardConfig()
     seeds = np.concatenate([rng.integers(1 << 63, size=dialogs_per_round) for _ in range(rounds)])
     first, second = np.array_split(seeds, 2)
-    halves = [play_round(agent, curiosity, world_model, goal_sampler, first, kb, roster, rewards)]
+    halves = [play(first)]
     if len(second):
-        halves.append(worker(second) if worker is not None else
-                      play_round(agent, curiosity, world_model, goal_sampler, second, kb, roster, rewards))
+        halves.append(worker(second) if worker is not None else play(second))
     stored = 0
-    for exps in halves:
-        for exp in exps:
+    for blocks in halves:
+        for exp in experiences(blocks):
             sim_buffer.append(exp)
             stored += 1
     return stored
@@ -277,17 +301,16 @@ def can_plan_in_parallel() -> bool:
 class PlanWorker:
     """A forked process that plays batches of planning rollouts on request.
 
-    ``play(job, seeds) -> Iterable[Experience]`` runs in the worker, on the
-    worker's copy of ``nets`` (forked with them); each job first sends every
-    net's ``theta``, so the worker plays with the parent's current weights.
-    A batch comes back as raw bytes, not pickled Experience objects: a
-    float64 matrix per turn of its state rows, read straight into the array
-    that keeps them, plus per-transition columns. The parent rebuilds each
-    Experience from row views of those matrices, so a rollout's ``s_next``
-    is still the very array its next experience stores as ``s``. The worker
-    exits on EOF of its command pipe. An error in a batch is sent back,
-    re-raised in the parent as the batch is read, and ends the worker; after
-    any error the owner calls ``close``, which kills a worker still busy.
+    ``play(job, seeds) -> blocks`` runs in the worker, on the worker's copy
+    of ``nets`` (forked with them); each job first sends every net's
+    ``theta``, so the worker plays with the parent's current weights. The
+    worker plays the whole batch, then pickles its blocks one by one, as
+    ``play_round`` yields them, followed by an end marker; the parent loads
+    them as ``plan`` stores the batch through ``experiences``, as it does
+    for the half it plays itself. The worker exits on EOF of its command
+    pipe. An error in a batch is sent back, re-raised in the parent as the
+    batch is read, and ends the worker; after any error the owner calls
+    ``close``, which kills a worker still busy.
     """
 
     def __init__(self, nets: list[MlpModel], play):
@@ -295,8 +318,6 @@ class PlanWorker:
         self._busy = False  # a batch was started and not yet read
         cmd_r, cmd_w = os.pipe()
         res_r, res_w = os.pipe()
-        for fd in (cmd_w, res_w):
-            _widen_pipe(fd)
         self.pid = os.fork()
         if self.pid == 0:  # the worker; it never returns from here
             try:
@@ -310,9 +331,9 @@ class PlanWorker:
         self._cmd = open(cmd_w, "wb")
         self._res = open(res_r, "rb")
 
-    def start(self, job, seeds: np.ndarray) -> Iterator[Experience]:
-        """Start one batch of rollouts, one per seed; returns its experiences
-        for ``plan``, read as they are iterated."""
+    def start(self, job, seeds: np.ndarray) -> Iterator:
+        """Start one batch of rollouts, one per seed; returns its blocks for
+        ``plan``, read as they are iterated."""
         self._busy = True
         pickle.dump((job, seeds), self._cmd)
         for net in self._nets:
@@ -320,30 +341,18 @@ class PlanWorker:
         self._cmd.flush()
         return self._receive()
 
-    def _receive(self) -> Iterator[Experience]:
-        """The started batch's experiences, in order, as they are read.
-
-        A batch is read turn by turn into arrays shaped like in-process
-        planning's, one per turn, so storing each experience as it comes
-        lets the buffer free old turns as the batch goes.
-        """
-        try:
-            head = pickle.load(self._res)
-        except EOFError:
-            raise ChildProcessError(f"planning worker {self.pid} ended unexpectedly") from None
-        if isinstance(head, BaseException):
-            raise head
-        width, sizes, cols, rewards = head
-        cols, rewards = cols.tolist(), rewards.tolist()
-        states = list(_read_array(self._res, np.empty((sizes[0], width))))
-        k = 0
-        for n in sizes[1:]:
-            next_states = list(_read_array(self._res, np.empty((n, width))))
-            for j in range(n):
-                s, a, a_user, done = cols[k]
-                yield Experience(states[s], a, rewards[k], a_user, next_states[j], bool(done))
-                k += 1
-            states = next_states
+    def _receive(self) -> Iterator:
+        """The started batch's blocks, in order, loaded as they are iterated."""
+        while True:
+            try:
+                block = pickle.load(self._res)
+            except EOFError:
+                raise ChildProcessError(f"planning worker {self.pid} ended unexpectedly") from None
+            if block is None:  # the end marker
+                break
+            if isinstance(block, BaseException):
+                raise block
+            yield block
         self._busy = False
 
     def close(self) -> None:
@@ -358,15 +367,6 @@ class PlanWorker:
         with contextlib.suppress(ChildProcessError):
             os.waitpid(self.pid, 0)
         self.pid = None
-
-
-def _widen_pipe(fd: int) -> None:
-    """Let the pipe hold a whole job's weights, and much of a batch, so a
-    writer seldom waits for the reader (Linux only; else the default 64 KiB)."""
-    with contextlib.suppress(ImportError, AttributeError, OSError):
-        import fcntl
-
-        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
 
 
 def _read_array(pipe, out: np.ndarray) -> np.ndarray:
@@ -386,7 +386,8 @@ def _close_fds_except(*keep: int) -> None:
 
 
 def _serve(cmd, res, nets: list[MlpModel], play) -> None:
-    """The worker's loop: per job, load the weights, then play the batch and send it."""
+    """The worker's loop: per job, load the weights, then play the batch and
+    send its blocks and the end marker."""
     while True:
         try:
             job, seeds = pickle.load(cmd)
@@ -395,7 +396,7 @@ def _serve(cmd, res, nets: list[MlpModel], play) -> None:
         for net in nets:
             _read_array(cmd, net.theta)
         try:
-            exps = list(play(job, seeds))
+            blocks = list(play(job, seeds))
         except Exception as exc:
             try:
                 payload = pickle.dumps(exc)
@@ -404,29 +405,6 @@ def _serve(cmd, res, nets: list[MlpModel], play) -> None:
             res.write(payload)
             res.flush()
             return
-        _send_round(res, exps)
-
-
-def _send_round(res, exps: list[Experience]) -> None:
-    """One ``play_round`` batch as raw arrays: the first turn's states, then
-    each turn's next states, one row per transition, plus per-transition
-    columns."""
-    turns, reached = [[]], set()
-    for exp in exps:
-        if id(exp.s) in reached:  # a state this turn reached: the next turn has begun
-            turns.append([])
-            reached = set()
-        turns[-1].append(exp)
-        reached.add(id(exp.s_next))
-    blocks = [stack_rows([e.s for e in turns[0]])]
-    row = {id(e.s): i for i, e in enumerate(turns[0])}  # id of a state -> its row in the last block
-    cols = []
-    for turn in turns:
-        cols += [(row[id(e.s)], e.a, e.a_user, e.done) for e in turn]
-        blocks.append(stack_rows([e.s_next for e in turn]))
-        row = {id(e.s_next): i for i, e in enumerate(turn)}
-    pickle.dump((blocks[0].shape[1], [len(b) for b in blocks], np.array(cols, dtype=np.int64),
-                 np.array([e.r for e in exps])), res)
-    for block in blocks:
-        res.write(block)
-    res.flush()
+        for block in blocks + [None]:
+            pickle.dump(block, res, pickle.HIGHEST_PROTOCOL)
+        res.flush()

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -186,6 +187,87 @@ def test_eval_needs_an_episode(tmp_path, capsys, episodes, show):
     assert f"episodes: must be >= 1, got {episodes}" in captured.err
 
 
+def unreadable(tmp_path, kind):
+    """A path that does not read as JSON text: a directory, or a file that is not UTF-8."""
+    if kind == "directory":
+        path = tmp_path / "a_directory"
+        path.mkdir()
+    else:
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'[{"note": "caf\xe9"}]')
+    return path
+
+
+def assert_usage_error(capsys, rc, *words):
+    """Exit 2 with one ``error:`` line that names ``words``, and no traceback."""
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1
+    assert all(word in errors[0] for word in words), errors[0]
+
+
+@pytest.mark.parametrize("command", ["train", "matrix"])
+@pytest.mark.parametrize("kind, problem", [("directory", "cannot read"), ("not-utf8", "not UTF-8")])
+def test_unreadable_config_exit_2(tmp_path, capsys, command, kind, problem):
+    path = unreadable(tmp_path, kind)
+    rc = main([command, "--config", str(path)])
+    assert_usage_error(capsys, rc, f"config {path}: {problem}")
+
+
+@pytest.mark.parametrize("field, what", [("kb_path", "KB file"), ("goals_path", "goal file")])
+def test_train_non_utf8_data_file_exit_2(tmp_path, capsys, field, what):
+    paths = dict(zip(("kb_path", "goals_path"), make_data(tmp_path)))
+    paths[field] = unreadable(tmp_path, "not-utf8")
+    rc = main(["train", "--config", str(tiny_train_config(tmp_path, paths["kb_path"], paths["goals_path"]))])
+    assert_usage_error(capsys, rc, f"{what} {paths[field]}: not UTF-8")
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("trained")
+    kb_path, goals_path = make_data(tmp_path)
+    assert main(["train", "--config", str(tiny_train_config(tmp_path, kb_path, goals_path))]) == 0
+    return tmp_path / "runs" / "SC-DDQ_EMD_1"
+
+
+@pytest.fixture
+def run_dir(tmp_path, trained_run):
+    """A fresh copy of a trained run dir, with checkpoints through epoch 4."""
+    return shutil.copytree(trained_run, tmp_path / "run")
+
+
+@pytest.mark.parametrize("checkpoint", [[], ["--checkpoint", "checkpoint_ep4.json"]])
+def test_eval_ignores_stray_checkpoint_names(run_dir, capsys, checkpoint):
+    shutil.copy(run_dir / "checkpoint_ep4.json", run_dir / "checkpoint_ep4.bak.json")
+    shutil.copy(run_dir / "checkpoint_ep4.json", run_dir / "checkpoint_epX.json")
+    rc = main(["eval", "--run-dir", str(run_dir), "--episodes", "2", *checkpoint])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("checkpoint_ep4.json on all:")
+
+
+def test_eval_needs_a_checkpoint_with_an_epoch(run_dir, capsys):
+    for path in run_dir.glob("checkpoint_ep*.json"):
+        path.rename(path.with_suffix(".bak.json"))
+    rc = main(["eval", "--run-dir", str(run_dir), "--episodes", "2"])
+    assert_usage_error(capsys, rc, "no checkpoints")
+
+
+def test_eval_checkpoint_with_bad_value_exit_2(run_dir, capsys):
+    obj = json.loads((run_dir / "checkpoint_ep4.json").read_text())
+    obj["gamma"] = "x"
+    (run_dir / "bad.json").write_text(json.dumps(obj))
+    rc = main(["eval", "--run-dir", str(run_dir), "--episodes", "2", "--checkpoint", "bad.json"])
+    assert_usage_error(capsys, rc, "malformed agent checkpoint", "'x'")
+
+
+def test_eval_checkpoint_directory_exit_2(run_dir, capsys):
+    rc = main(["eval", "--run-dir", str(run_dir), "--episodes", "2", "--checkpoint", "."])
+    assert_usage_error(capsys, rc, "agent checkpoint", "cannot read")
+
+
 def test_eval_show_renders_dialogs(tmp_path, capsys):
     kb_path, goals_path = make_data(tmp_path)
     config = tiny_train_config(tmp_path, kb_path, goals_path)
@@ -362,6 +444,14 @@ def test_report_subcommand(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "report" / "table4.csv").exists()
     assert (tmp_path / "report" / "correlation.csv").exists()
+
+
+@pytest.mark.parametrize("content, problem", [(b'{"method": "DDQ", "sch', "invalid JSON"),
+                                              (b'{"method": "D\xe9Q"}', "not UTF-8")])
+def test_report_unreadable_run_config_exit_2(run_dir, capsys, content, problem):
+    (run_dir / "config.json").write_bytes(content)  # say, a run that crashed mid-write
+    rc = main(["report", "--runs", str(run_dir.parent), "--out", str(run_dir.parent / "report")])
+    assert_usage_error(capsys, rc, f"run config {run_dir / 'config.json'}: {problem}")
 
 
 def test_report_empty_dir_exit_2(tmp_path):

@@ -12,7 +12,6 @@ from dialogrl.domain import (
     default_roster,
     generate_goal_set,
     generate_kb,
-    kb_query,
     load_goals,
     load_kb,
     normalize_value,
@@ -83,6 +82,11 @@ def test_generate_kb_deterministic(tmp_path):
     save_kb(generate_kb(seed=7, n_movies=50), a)
     save_kb(generate_kb(seed=7, n_movies=50), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def kb_query(kb, constraints):
+    """Every record matching every constraint, in KB order."""
+    return [kb.records[i] for i in sorted(kb.hits(constraints))]
 
 
 def test_kb_query_trivial_cases():

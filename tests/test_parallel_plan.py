@@ -57,6 +57,20 @@ def buffer_record(buf):
     return fields, successors
 
 
+def in_worker_only(fail):
+    """A ``Trainer._play_round`` that calls ``fail()`` in the planning worker
+    and plays as usual in the trainer's process, which plays the first half
+    through the same method."""
+    parent, real_round = os.getpid(), Trainer._play_round
+
+    def play_round(self, level, seeds):
+        if os.getpid() == parent:
+            return real_round(self, level, seeds)
+        fail()
+
+    return play_round
+
+
 def run_dir_files(run_dir):
     return {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
 
@@ -132,15 +146,35 @@ def test_one_planning_round_forks_nothing(data, monkeypatch):
 def test_worker_error_reaches_parent_with_its_type(data, monkeypatch):
     monkeypatch.setattr(training, "can_plan_in_parallel", lambda: True)
 
-    def failing_round(self, level, seeds):  # runs in the worker only
+    def fail():
         raise NumericError("non-finite loss (forced in the worker)")
 
-    monkeypatch.setattr(Trainer, "_play_round", failing_round)
+    monkeypatch.setattr(Trainer, "_play_round", in_worker_only(fail))
     kb, goals = data
     tr = Trainer(tiny_config(planning_rounds=2), kb, goals)
     tr.warm_start()
     with pytest.raises(NumericError, match="forced in the worker"):
         tr.run_epoch(0)
+    assert_no_children()
+
+
+def test_worker_error_that_does_not_pickle_reaches_parent(data, monkeypatch):
+    monkeypatch.setattr(training, "can_plan_in_parallel", lambda: True)
+
+    class LocalError(Exception):  # defined in a function, so pickle cannot name it
+        pass
+
+    def fail():
+        raise LocalError("forced in the worker")
+
+    monkeypatch.setattr(Trainer, "_play_round", in_worker_only(fail))
+    kb, goals = data
+    tr = Trainer(tiny_config(planning_rounds=2), kb, goals)
+    tr.warm_start()
+    with pytest.raises(RuntimeError, match="^LocalError: forced in the worker$") as caught:
+        tr.run_epoch(0)
+    assert type(caught.value) is RuntimeError
+    assert tr._worker is None
     assert_no_children()
 
 
@@ -159,7 +193,7 @@ def test_epoch_holds_blas_to_one_thread(data, monkeypatch):
             raise NumericError("forced in planning")
         return real_plan(*args, **kwargs)
 
-    def worker_round(self, level, seeds):  # runs in the worker only
+    def fail():
         raise NumericError(f"worker BLAS threads: {get()}")
 
     kb, goals = data
@@ -177,7 +211,7 @@ def test_epoch_holds_blas_to_one_thread(data, monkeypatch):
             assert get() == 3
         assert seen == [1, 1]
         # the worker, forked inside an epoch, keeps one thread
-        monkeypatch.setattr(Trainer, "_play_round", worker_round)
+        monkeypatch.setattr(Trainer, "_play_round", in_worker_only(fail))
         tr = Trainer(tiny_config(), kb, goals)
         tr.warm_start()
         with pytest.raises(NumericError, match="worker BLAS threads: 1$"):

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -80,7 +81,7 @@ def test_planning_dialogs_default_to_real_dialogs(data, monkeypatch, per_round, 
     real_plan = training.plan
 
     def spy(*args, **kwargs):
-        seen.append(args[5])
+        seen.append(inspect.signature(real_plan).bind(*args, **kwargs).arguments["dialogs_per_round"])
         return real_plan(*args, **kwargs)
 
     monkeypatch.setattr(training, "plan", spy)

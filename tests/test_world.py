@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from dialogrl.domain import (DEFAULT_GOAL_COUNTS, DialogAct, Intent, KnowledgeBa
 from dialogrl.env import (KB_BUCKET, MAX_TURN_BUCKETS, OUTSTANDING, STATE_DIM, USER_INFORMED,
                           DialogEnv, RewardConfig, RuleAgent, encode_state)
 from dialogrl.errors import ContractViolation
-from dialogrl.world import WorldModel, encode_inputs, plan, play_round
+from dialogrl.world import WorldModel, encode_inputs, experiences, plan, play_round
 
 STATE, ACTIONS, USER = 12, 5, 7
 
@@ -163,20 +164,29 @@ def goal_sampler(buffers):
     return lambda rng: sample_goal(buffers, "all", rng)
 
 
+def player(agent, curiosity, wm, sampler, kb, roster, rewards=None):
+    """``plan``'s ``play``: ``play_round`` with everything but the seeds bound."""
+    return partial(play_round, agent, curiosity, wm, sampler, kb=kb, roster=roster,
+                   rewards=rewards if rewards is not None else RewardConfig())
+
+
+def round_experiences(agent, curiosity, wm, sampler, seeds, kb, roster, rewards):
+    return list(experiences(play_round(agent, curiosity, wm, sampler, seeds, kb, roster, rewards)))
+
+
 def test_plan_zero_rounds(planning_setup):
     kb, buffers, roster, agent, wm = planning_setup
     sim = ReplayBuffer(kind="simulated")
-    n = plan(agent, None, wm, goal_sampler(buffers), rounds=0, dialogs_per_round=5,
-             sim_buffer=sim, kb=kb, roster=roster, rng=np.random.default_rng(0))
+    n = plan(player(agent, None, wm, goal_sampler(buffers), kb, roster), rounds=0, dialogs_per_round=5,
+             sim_buffer=sim, rng=np.random.default_rng(0))
     assert n == 0 and len(sim) == 0
 
 
 def test_plan_bounded_by_turn_cap(planning_setup):
     kb, buffers, roster, agent, wm = planning_setup
     sim = ReplayBuffer(kind="simulated")
-    n = plan(agent, None, wm, goal_sampler(buffers), rounds=1, dialogs_per_round=2,
-             sim_buffer=sim, kb=kb, roster=roster, rng=np.random.default_rng(0),
-             rewards=RewardConfig(max_turns=40))
+    n = plan(player(agent, None, wm, goal_sampler(buffers), kb, roster, RewardConfig(max_turns=40)),
+             rounds=1, dialogs_per_round=2, sim_buffer=sim, rng=np.random.default_rng(0))
     assert 0 < n <= 2 * 40
     assert len(sim) == n
     # every stored step is marked done by threshold or cap; episodes end
@@ -187,17 +197,15 @@ def test_plan_bounded_by_turn_cap(planning_setup):
 def test_plan_refuses_real_buffer(planning_setup):
     kb, buffers, roster, agent, wm = planning_setup
     with pytest.raises(ContractViolation):
-        plan(agent, None, wm, goal_sampler(buffers), rounds=1, dialogs_per_round=1,
-             sim_buffer=ReplayBuffer(kind="real"), kb=kb, roster=roster,
-             rng=np.random.default_rng(0))
+        plan(player(agent, None, wm, goal_sampler(buffers), kb, roster), rounds=1, dialogs_per_round=1,
+             sim_buffer=ReplayBuffer(kind="real"), rng=np.random.default_rng(0))
 
 
 def test_plan_refuses_empty_rounds(planning_setup):
     kb, buffers, roster, agent, wm = planning_setup
     with pytest.raises(ContractViolation):
-        plan(agent, None, wm, goal_sampler(buffers), rounds=1, dialogs_per_round=0,
-             sim_buffer=ReplayBuffer(kind="simulated"), kb=kb, roster=roster,
-             rng=np.random.default_rng(0))
+        plan(player(agent, None, wm, goal_sampler(buffers), kb, roster), rounds=1, dialogs_per_round=0,
+             sim_buffer=ReplayBuffer(kind="simulated"), rng=np.random.default_rng(0))
 
 
 def test_plan_deterministic(planning_setup):
@@ -205,8 +213,8 @@ def test_plan_deterministic(planning_setup):
     traces = []
     for _ in range(2):
         sim = ReplayBuffer(kind="simulated")
-        plan(agent, None, wm, goal_sampler(buffers), rounds=1, dialogs_per_round=3,
-             sim_buffer=sim, kb=kb, roster=roster, rng=np.random.default_rng(11))
+        plan(player(agent, None, wm, goal_sampler(buffers), kb, roster), rounds=1, dialogs_per_round=3,
+             sim_buffer=sim, rng=np.random.default_rng(11))
         traces.append([(e.a, e.a_user, e.r, e.done) for e in sim])
     assert traces[0] == traces[1]
 
@@ -220,11 +228,11 @@ def test_plan_stores_first_half_then_second(planning_setup, patient_wm, with_cur
     curiosity = CuriosityModel(seed=2) if with_curiosity else None
     rewards = RewardConfig(max_turns=9)
     sim = ReplayBuffer(kind="simulated")
-    n = plan(agent, curiosity, patient_wm, goal_sampler(buffers), rounds=3, dialogs_per_round=5,
-             sim_buffer=sim, kb=kb, roster=roster, rng=np.random.default_rng(8), rewards=rewards)
+    n = plan(player(agent, curiosity, patient_wm, goal_sampler(buffers), kb, roster, rewards), rounds=3,
+             dialogs_per_round=5, sim_buffer=sim, rng=np.random.default_rng(8))
     rng = np.random.default_rng(8)
     seeds = np.concatenate([rng.integers(1 << 63, size=5) for _ in range(3)])
-    halves = [list(play_round(agent, curiosity, patient_wm, goal_sampler(buffers), half, kb, roster, rewards))
+    halves = [round_experiences(agent, curiosity, patient_wm, goal_sampler(buffers), half, kb, roster, rewards)
               for half in (seeds[:8], seeds[8:])]
     fields = [[(e.s.tobytes(), e.a, e.r, e.a_user, e.s_next.tobytes(), e.done) for e in exps]
               for exps in (list(sim), halves[0] + halves[1])]
@@ -258,9 +266,9 @@ def turn_of(s):
 
 def plan_with_curiosity(planning_setup, sim, rng_seed, max_turns=6):
     kb, buffers, roster, agent, wm = planning_setup
-    return plan(agent, CuriosityModel(seed=2), wm, goal_sampler(buffers), rounds=2,
-                dialogs_per_round=5, sim_buffer=sim, kb=kb, roster=roster,
-                rng=np.random.default_rng(rng_seed), rewards=RewardConfig(max_turns=max_turns))
+    return plan(player(agent, CuriosityModel(seed=2), wm, goal_sampler(buffers), kb, roster,
+                       RewardConfig(max_turns=max_turns)),
+                rounds=2, dialogs_per_round=5, sim_buffer=sim, rng=np.random.default_rng(rng_seed))
 
 
 def test_plan_with_curiosity_deterministic(planning_setup):
@@ -323,8 +331,8 @@ def test_plan_replays_memorized_pattern():
         wm.train(buf, n_batches=8, rng=train_rng)
 
     sim = ReplayBuffer(kind="simulated")
-    plan(agent, None, wm, goal_sampler(buffers), rounds=1, dialogs_per_round=1,
-         sim_buffer=sim, kb=kb, roster=roster, rng=np.random.default_rng(1))
+    plan(player(agent, None, wm, goal_sampler(buffers), kb, roster), rounds=1, dialogs_per_round=1,
+         sim_buffer=sim, rng=np.random.default_rng(1))
     user_choices = {e.a_user for e in sim}
     assert user_choices == {fixed_user}
 
@@ -401,9 +409,9 @@ def test_kb_match_count_tracks_constraints(planning_setup, patient_wm, monkeypat
         return goals[-1]
 
     sim = ReplayBuffer(kind="simulated")
-    plan(DqnAgent(seed=0, epsilon=0.5), CuriosityModel(seed=2), patient_wm, sampler, rounds=3,
-         dialogs_per_round=10, sim_buffer=sim, kb=kb, roster=roster, rng=np.random.default_rng(3),
-         rewards=RewardConfig(max_turns=20))
+    plan(player(DqnAgent(seed=0, epsilon=0.5), CuriosityModel(seed=2), patient_wm, sampler, kb, roster,
+                RewardConfig(max_turns=20)),
+         rounds=3, dialogs_per_round=10, sim_buffer=sim, rng=np.random.default_rng(3))
     exps = iter(sim)
     runs = sum((rollouts(exps, 15) for _ in range(2)), [])  # 30 rollouts, played as two halves
     assert next(exps, None) is None and len(runs) == len(goals)
@@ -512,7 +520,7 @@ def assert_rounds_match(agent, curiosity, wm, sampler, kb, roster, max_turns, ro
     ends = []
     for k in range(rounds):
         seeds = np.random.default_rng(k).integers(1 << 63, size=n)
-        got = list(play_round(agent, curiosity, wm, sampler, seeds, kb, roster, rewards))
+        got = round_experiences(agent, curiosity, wm, sampler, seeds, kb, roster, rewards)
         want = list(reference_round(agent, curiosity, wm, sampler, seeds, kb, roster, rewards, seen))
         fields = [[(e.s.tobytes(), e.a, e.r, e.a_user, e.s_next.tobytes(), e.done) for e in exps]
                   for exps in (got, want)]
