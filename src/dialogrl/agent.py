@@ -49,7 +49,10 @@ class Experience:
 
 
 class ReplayBuffer:
-    """Bounded FIFO store; evicts strictly oldest-first at capacity."""
+    """Bounded FIFO store; evicts strictly oldest-first at capacity.
+
+    ``appended`` counts every append ever made, evicted or not.
+    """
 
     def __init__(self, capacity: int = REPLAY_CAPACITY, kind: str = "real"):
         if kind not in ("real", "simulated"):
@@ -57,9 +60,11 @@ class ReplayBuffer:
         self.capacity = capacity
         self.kind = kind
         self._items: deque[Experience] = deque(maxlen=capacity)
+        self.appended = 0
 
     def append(self, exp: Experience) -> None:
         self._items.append(exp)
+        self.appended += 1
 
     def __len__(self) -> int:
         return len(self._items)

@@ -30,17 +30,24 @@ second and sends its blocks back pickled, and ``plan`` stores the first
 half and then the second, both through ``experiences``. Without a worker
 the caller plays both halves in the same order, so the stored
 experiences, and every run output, do not depend on the number of CPUs.
+
+For the curiosity methods the worker also keeps mirrors of both replay
+buffers, fed the new real transitions with each batch and the caller's
+half of the rollouts as it is played, and trains the curiosity net on
+them while the caller runs the Q-net's update on simulated experience.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
+import itertools
 import logging
 import os
 import pickle
 import signal
 from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -299,23 +306,43 @@ def can_plan_in_parallel() -> bool:
 
 
 class PlanWorker:
-    """A forked process that plays batches of planning rollouts on request.
+    """A forked process that plays batches of planning rollouts on request
+    and, for the curiosity methods, trains the curiosity net.
 
     ``play(job, seeds) -> blocks`` runs in the worker, on the worker's copy
-    of ``nets`` (forked with them); each job first sends every net's
+    of ``nets`` (forked with them); each batch first sends every net's
     ``theta``, so the worker plays with the parent's current weights. The
     worker plays the whole batch, then pickles its blocks one by one, as
     ``play_round`` yields them, followed by an end marker; the parent loads
     them as ``plan`` stores the batch through ``experiences``, as it does
-    for the half it plays itself. The worker exits on EOF of its command
-    pipe. An error in a batch is sent back, re-raised in the parent as the
-    batch is read, and ends the worker; after any error the owner calls
-    ``close``, which kills a worker still busy.
+    for the half it plays itself.
+
+    Given ``curiosity`` and ``buffers`` (the real and the simulated replay
+    buffer), the worker keeps mirrors of both: its fork-time copies of
+    them. Each batch sends the real transitions appended since the last
+    one, as arrays; ``feed`` streams the blocks of the half the parent
+    plays, which a thread of the worker stores as they come while it plays
+    its own half; then the worker stores its own half, so both mirrors
+    hold what ``plan`` stores, in the same order. The end marker is the
+    mirrors' append counts. ``start_training`` then trains the worker's
+    copy of the curiosity net on the mirrors while the parent goes on, and
+    ``finish_training`` copies the trained net and the rng state back: the
+    same steps, to the bit, as ``CuriosityModel.train`` on the parent's
+    buffers.
+
+    The worker exits on EOF of its command pipe. An error in a job is sent
+    back, re-raised in the parent as the job's reply is read, and ends the
+    worker; after any error the owner calls ``close``, which kills a worker
+    still busy.
     """
 
-    def __init__(self, nets: list[MlpModel], play):
+    def __init__(self, nets: list[MlpModel], play, curiosity=None,
+                 buffers: tuple[ReplayBuffer, ...] = ()):
         self._nets = nets
-        self._busy = False  # a batch was started and not yet read
+        self._curiosity = curiosity
+        self._buffers = buffers
+        self._mirrored = [b.appended for b in buffers]  # appends the mirrors hold, per buffer
+        self._busy = False  # a job was started and its reply not yet read
         cmd_r, cmd_w = os.pipe()
         res_r, res_w = os.pipe()
         self.pid = os.fork()
@@ -323,7 +350,7 @@ class PlanWorker:
             try:
                 gc.freeze()  # objects forked from the parent are never collected here
                 _close_fds_except(0, 1, 2, cmd_r, res_w)
-                _serve(open(cmd_r, "rb"), open(res_w, "wb"), nets, play)
+                _serve(open(cmd_r, "rb"), open(res_w, "wb"), nets, play, curiosity, buffers)
             finally:
                 os._exit(0)
         os.close(cmd_r)
@@ -335,25 +362,77 @@ class PlanWorker:
         """Start one batch of rollouts, one per seed; returns its blocks for
         ``plan``, read as they are iterated."""
         self._busy = True
-        pickle.dump((job, seeds), self._cmd)
+        pickle.dump(("plan", job, seeds, self._new_real()), self._cmd, pickle.HIGHEST_PROTOCOL)
         for net in self._nets:
             self._cmd.write(net.theta)
         self._cmd.flush()
         return self._receive()
 
+    def _new_real(self):
+        """The real transitions the mirror lacks, as arrays, or None."""
+        if not self._buffers:
+            return None
+        real = self._buffers[0]
+        n = min(real.appended - self._mirrored[0], len(real))
+        if n == 0:
+            return None
+        exps = [real[i] for i in range(len(real) - n, len(real))]
+        return (stack_rows([e.s for e in exps]), np.array([e.a for e in exps]),
+                np.array([e.r for e in exps]), np.array([e.a_user for e in exps]),
+                stack_rows([e.s_next for e in exps]), np.array([e.done for e in exps]))
+
+    def feed(self, blocks) -> Iterator:
+        """``blocks``, the other half of the started batch, as they are
+        iterated; each also goes to the worker's simulated mirror."""
+        for block in itertools.chain(blocks, [None]):  # then the end marker
+            with contextlib.suppress(BrokenPipeError):  # the worker failed: ``_receive`` says why
+                pickle.dump(block, self._cmd, pickle.HIGHEST_PROTOCOL)
+                self._cmd.flush()
+            if block is not None:
+                yield block
+
     def _receive(self) -> Iterator:
         """The started batch's blocks, in order, loaded as they are iterated."""
         while True:
-            try:
-                block = pickle.load(self._res)
-            except EOFError:
-                raise ChildProcessError(f"planning worker {self.pid} ended unexpectedly") from None
-            if block is None:  # the end marker
+            block = self._load()
+            if isinstance(block, list):  # the end marker
+                self._mirrored = block
                 break
-            if isinstance(block, BaseException):
-                raise block
             yield block
         self._busy = False
+
+    def start_training(self, n_batches: int, rng: np.random.Generator) -> bool:
+        """Start ``n_batches`` curiosity steps on the mirrors, drawn from
+        (a copy of) ``rng``. Starts nothing and returns False if an append
+        to the buffers has not reached the mirrors."""
+        if self._mirrored != [b.appended for b in self._buffers]:
+            return False
+        self._busy = True
+        pickle.dump(("train", n_batches, rng), self._cmd, pickle.HIGHEST_PROTOCOL)
+        self._cmd.flush()
+        return True
+
+    def finish_training(self, rng: np.random.Generator) -> float | None:
+        """The started training's loss. The curiosity net's weights, RMSProp
+        state and step count, and ``rng``'s state, become the worker's."""
+        loss, step_count, state = self._load()
+        net = self._curiosity.net
+        _read_array(self._res, net.theta)
+        _read_array(self._res, net.acc)
+        net.step_count = step_count
+        rng.bit_generator.state = state
+        self._busy = False
+        return loss
+
+    def _load(self):
+        """The worker's next message; an error it sent is raised here."""
+        try:
+            msg = pickle.load(self._res)
+        except EOFError:
+            raise ChildProcessError(f"planning worker {self.pid} ended unexpectedly") from None
+        if isinstance(msg, BaseException):
+            raise msg
+        return msg
 
     def close(self) -> None:
         """End and reap the worker: at once if it is busy, else by EOF."""
@@ -385,18 +464,21 @@ def _close_fds_except(*keep: int) -> None:
         lo = fd + 1
 
 
-def _serve(cmd, res, nets: list[MlpModel], play) -> None:
-    """The worker's loop: per job, load the weights, then play the batch and
-    send its blocks and the end marker."""
+def _serve(cmd, res, nets: list[MlpModel], play, curiosity, buffers) -> None:
+    """The worker's loop, one job per command: play a batch and send its
+    blocks and the end marker, or train the curiosity net and send its
+    state. An error is sent back and ends the loop."""
     while True:
         try:
-            job, seeds = pickle.load(cmd)
+            kind, *args = pickle.load(cmd)
         except EOFError:
             return
-        for net in nets:
-            _read_array(cmd, net.theta)
         try:
-            blocks = list(play(job, seeds))
+            if kind == "plan":
+                for block in _play_job(cmd, nets, play, buffers, *args):
+                    pickle.dump(block, res, pickle.HIGHEST_PROTOCOL)
+            else:
+                _train_job(res, curiosity, buffers, *args)
         except Exception as exc:
             try:
                 payload = pickle.dumps(exc)
@@ -405,6 +487,45 @@ def _serve(cmd, res, nets: list[MlpModel], play) -> None:
             res.write(payload)
             res.flush()
             return
-        for block in blocks + [None]:
-            pickle.dump(block, res, pickle.HIGHEST_PROTOCOL)
         res.flush()
+
+
+def _play_job(cmd, nets, play, buffers, job, seeds, real) -> list:
+    """Load the weights, play the batch and update the mirrors; returns the
+    blocks, then the end marker."""
+    for net in nets:
+        _read_array(cmd, net.theta)
+    if not buffers:
+        return list(play(job, seeds)) + [[]]
+    real_mirror, sim_mirror = buffers
+    if real is not None:
+        s, a, r, a_user, s_next, done = real
+        _store(real_mirror, map(Experience, list(s), a.tolist(), r.tolist(), a_user.tolist(),
+                                list(s_next), done.tolist()))
+    with ThreadPoolExecutor(1) as pool:  # stores the parent's half as it comes
+        fed = pool.submit(_store, sim_mirror, experiences(_fed_blocks(cmd)))
+        blocks = list(play(job, seeds))
+        fed.result()
+    _store(sim_mirror, experiences(blocks))
+    return blocks + [[real_mirror.appended, sim_mirror.appended]]
+
+
+def _fed_blocks(cmd) -> Iterator:
+    """The blocks ``PlanWorker.feed`` sends, up to its end marker."""
+    while (block := pickle.load(cmd)) is not None:
+        yield block
+
+
+def _store(buffer: ReplayBuffer, exps) -> None:
+    for exp in exps:
+        buffer.append(exp)
+
+
+def _train_job(res, curiosity, buffers, n_batches: int, rng: np.random.Generator) -> None:
+    """Train the curiosity net on the mirrors and send the loss, the step
+    count and the rng state, then the weights and the RMSProp state."""
+    loss = curiosity.train(*buffers, n_batches, rng)
+    net = curiosity.net
+    pickle.dump((loss, net.step_count, rng.bit_generator.state), res, pickle.HIGHEST_PROTOCOL)
+    res.write(net.theta)
+    res.write(net.acc)

@@ -2,15 +2,23 @@
 no worker process outlives its Trainer."""
 
 import gc
+import json
 import os
+import pickle
 import signal
+import sys
 
 import pytest
 
 import dialogrl.training as training
+from dialogrl.agent import DqnAgent
+from dialogrl.cli import main
+from dialogrl.curiosity import CuriosityModel
+from dialogrl.curriculum import stage_boundaries
 from dialogrl.errors import NumericError
 from dialogrl.nets import blas_thread_control
-from dialogrl.training import RunConfig, Trainer, load_run_data, run_experiment
+from dialogrl.training import (RunConfig, Trainer, load_run_data, run_experiment, write_eval_csv,
+                               write_metrics_csv)
 from dialogrl.world import PlanWorker, can_plan_in_parallel
 
 
@@ -254,4 +262,150 @@ def test_closing_one_trainer_ends_its_worker_only(data, monkeypatch):
     report = second.run_epoch(1)
     assert report.sim_buffer_size > 0
     second.close()
+    assert_no_children()
+
+
+def counting(monkeypatch, owner, name):
+    """Record ``self.pid`` at each call of ``owner.name``, which then runs as usual."""
+    calls, real = [], getattr(owner, name)
+
+    def counted(self, *args):
+        calls.append(self.pid)
+        return real(self, *args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def curiosity_state(tr):
+    net = tr.curiosity.net
+    return (net.theta.tobytes(), net.acc.tobytes(), net.step_count,
+            tr.rngs["curiosity"].bit_generator.state)
+
+
+def test_curiosity_trains_on_the_worker_as_in_process(data, monkeypatch):
+    kb, goals = data
+    finished = counting(monkeypatch, PlanWorker, "finish_training")
+    outs = {}
+    interval = sys.getswitchinterval()
+    for parallel in (False, True):
+        monkeypatch.setattr(training, "can_plan_in_parallel", lambda: parallel)
+        # the worker, forked with it, switches threads often while it stores the fed half
+        sys.setswitchinterval(1e-6 if parallel else interval)
+        try:
+            tr = Trainer(tiny_config(), kb, goals)
+            tr.warm_start()
+            losses = [tr.run_epoch(epoch).curiosity_loss for epoch in range(4)]
+        finally:
+            sys.setswitchinterval(interval)
+        outs[parallel] = losses, curiosity_state(tr), tr.epoch_ops
+        tr.close()
+    assert len(finished) == 4
+    assert outs[True] == outs[False]
+    assert outs[True][2][0] == ["collect", "dqn_real", "world", "plan", "dqn_sim", "curiosity", "sync"]
+    assert_no_children()
+
+
+def test_append_the_mirrors_missed_trains_in_process_and_drops_the_worker(data, monkeypatch):
+    # Epoch 1's plan call is stubbed, so its real transitions never reach the worker.
+    kb, goals = data
+    real_plan = training.plan
+    finished = counting(monkeypatch, PlanWorker, "finish_training")
+    outs = {}
+    for parallel in (False, True):
+        monkeypatch.setattr(training, "can_plan_in_parallel", lambda: parallel)
+        tr = Trainer(tiny_config(), kb, goals)
+        tr.warm_start()
+        losses, pids = [], []
+        for epoch in range(4):
+            monkeypatch.setattr(training, "plan", (lambda *a, **k: 0) if epoch == 1 else real_plan)
+            losses.append(tr.run_epoch(epoch).curiosity_loss)
+            pids.append(tr._worker.pid if tr._worker is not None else None)
+        outs[parallel] = losses, curiosity_state(tr)
+        tr.close()
+    assert outs[True] == outs[False]
+    assert pids[0] is not None and pids[1] is None and pids[2] == pids[3] not in (None, pids[0])
+    assert finished == [pids[0], pids[2], pids[3]]
+    assert_no_children()
+
+
+def test_curiosity_error_on_the_worker_reaches_parent_and_exits_3(tmp_path, data, monkeypatch, capsys):
+    monkeypatch.setattr(training, "can_plan_in_parallel", lambda: True)
+    parent, real_train = os.getpid(), CuriosityModel.train
+
+    def train(self, *args):
+        if os.getpid() != parent:
+            raise NumericError("non-finite loss (forced on the worker)")
+        return real_train(self, *args)
+
+    monkeypatch.setattr(CuriosityModel, "train", train)
+    kb, goals = data
+    tr = Trainer(tiny_config(), kb, goals)
+    tr.warm_start()
+    with pytest.raises(NumericError, match="forced on the worker"):
+        tr.run_epoch(0)
+    assert tr._worker is None
+    assert_no_children()
+
+    assert main(["gen-data", "--movies", "80", "--goals-spec", "1:10,2:5,4:5",
+                 "--out-dir", str(tmp_path)]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(tiny_config(out_dir=str(tmp_path / "runs"), kb_path=str(tmp_path / "kb.json"),
+                                             goals_path=str(tmp_path / "goals.json")).to_json()))
+    assert main(["train", "--config", str(config)]) == 3
+    assert "forced on the worker" in capsys.readouterr().err
+    assert_no_children()
+
+
+def test_error_in_dqn_sim_kills_the_training_worker(data, monkeypatch):
+    monkeypatch.setattr(training, "can_plan_in_parallel", lambda: True)
+    started = counting(monkeypatch, PlanWorker, "start_training")
+    real_update = DqnAgent.update
+
+    def update(self, buffer, *args, **kwargs):
+        if buffer.kind == "simulated":
+            raise NumericError("forced in dqn_sim")
+        return real_update(self, buffer, *args, **kwargs)
+
+    monkeypatch.setattr(DqnAgent, "update", update)
+    kb, goals = data
+    tr = Trainer(tiny_config(), kb, goals)
+    tr.warm_start()
+    with pytest.raises(NumericError, match="forced in dqn_sim"):
+        tr.run_epoch(0)
+    assert len(started) == 1 and tr._worker is None
+    assert_no_children()
+
+
+def test_pickled_trainer_resumes_with_a_worker_byte_identical(tmp_path, data, monkeypatch):
+    monkeypatch.setattr(training, "can_plan_in_parallel", lambda: True)
+    kb, goals = data
+    cfg = tiny_config(out_dir=str(tmp_path))
+    straight = run_experiment(cfg, kb, goals)
+    b1, b2, b3 = stage_boundaries(cfg.epochs)
+    ends = {b1: 1, b2: 2, b3: 3, cfg.epochs: 4}
+
+    def run_epochs(tr, epochs):
+        for epoch in epochs:
+            tr.run_epoch(epoch)
+            if epoch + 1 in ends:
+                tr.evaluate(epoch + 1, ends[epoch + 1])
+
+    tr = Trainer(cfg, kb, goals)
+    tr.warm_start()
+    k = b1 + 1  # past an evaluation
+    run_epochs(tr, range(k))
+    assert tr._worker is not None
+    snapshot = pickle.dumps(tr)
+    tr.close()
+    resumed = pickle.loads(snapshot)
+    assert resumed._worker is None
+    finished = counting(monkeypatch, PlanWorker, "finish_training")
+    run_epochs(resumed, range(k, cfg.epochs))
+    assert len(finished) == cfg.epochs - k and resumed._worker is not None
+    resumed.close()
+    write_metrics_csv(tmp_path / "metrics.csv", cfg.run_id, cfg, resumed.epoch_reports)
+    write_eval_csv(tmp_path / "eval.csv", cfg.run_id, resumed.eval_reports)
+    for name in ("metrics.csv", "eval.csv"):
+        assert (tmp_path / name).read_bytes() == (straight / name).read_bytes()
     assert_no_children()
