@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import re
 import sys
 import traceback
@@ -186,14 +185,14 @@ def _matrix_list(spec: dict, key: str, default: list) -> list:
 
 def _matrix_worker(payload):
     """Run one cell; a failure leaves its traceback in ``<out_dir>/<run_id>/error.txt``."""
-    obj, display_seed, use_worker = payload
+    obj, display_seed = payload
     config = RunConfig.from_json(obj)
     # the directory and the run_id column carry the human-readable seed
     # index; the echoed config keeps the derived seed
     run_id = f"{config.method}_{config.schedule}_{display_seed}"
     error_path = Path(config.out_dir) / run_id / "error.txt"
     try:
-        run_dir = run_experiment(config, run_id=run_id, use_worker=use_worker)
+        run_dir = run_experiment(config, run_id=run_id)
     except Exception as exc:  # record the failure, let the driver aggregate
         error = f"{type(exc).__name__}: {exc}"
         try:
@@ -211,9 +210,7 @@ def cmd_matrix(args) -> int:
     if not jobs:
         print("matrix is empty: nothing to run")
         return EXIT_OK
-    # A trainer's planning worker needs a CPU that no other job keeps busy.
-    use_worker = hasattr(os, "sched_getaffinity") and args.jobs < len(os.sched_getaffinity(0))
-    payloads = [(cfg.to_json(), display_seed, use_worker) for cfg, display_seed in jobs]
+    payloads = [(cfg.to_json(), display_seed) for cfg, display_seed in jobs]
     failures = 0
     if args.jobs <= 1:
         results = [_matrix_worker(p) for p in payloads]

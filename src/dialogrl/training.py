@@ -15,13 +15,12 @@ every dialog steps its own env against the user simulator.
 With at least two planning rollouts per epoch and two CPUs, a Trainer forks
 one worker process at its first planning call, which plays the second half
 of every ``plan`` call's rollouts (see ``world.PlanWorker``). For C-DDQ and
-SC-DDQ the worker mirrors both replay buffers and, after planning, trains
-the curiosity net while this process runs the ``dqn_sim`` update; the two
-share no state. If an append to the buffers missed the mirrors, the
-curiosity net trains here and the worker is replaced. Run outputs do not
-depend on the worker. ``close`` (called at the end of ``run``, on errors,
-and when the Trainer is collected) ends it; a pickled Trainer leaves it
-behind, with its mirrors. ``use_worker=False`` never forks one.
+SC-DDQ the worker mirrors both replay buffers and, after planning, is sent
+the transitions its mirrors lack and trains the curiosity net while this
+process runs the ``dqn_sim`` update; the two share no state. Run outputs
+do not depend on the worker. ``close`` (called at the end of ``run``, on
+errors, and when the Trainer is collected) ends it; a pickled Trainer
+leaves it behind, with its mirrors.
 
 An epoch holds OpenBLAS to one thread (``nets.one_blas_thread``), so its
 spinning helper thread does not take the worker's CPU; the worker, forked
@@ -258,7 +257,7 @@ class Trainer:
     """Owns every mutable piece of one experiment; fully seeded."""
 
     def __init__(self, config: RunConfig, kb: KnowledgeBase, goals: list[UserGoal],
-                 roster: ActionRoster | None = None, use_worker: bool = True):
+                 roster: ActionRoster | None = None):
         config.validate()
         self.config = config
         self.kb = kb
@@ -305,7 +304,6 @@ class Trainer:
         self.epoch_reports: list[EpochReport] = []
         self.eval_reports: list[EvalReport] = []
         self._warm_started = False
-        self._use_worker = use_worker
         self._worker: PlanWorker | None = None  # plays half of each epoch's planning
 
     def __getstate__(self):
@@ -417,9 +415,9 @@ class Trainer:
                 ops.append("plan")
                 dialogs = (cfg.real_dialogs_per_epoch if cfg.planning_dialogs_per_round is None
                            else cfg.planning_dialogs_per_round)
-                play, worker = self._planners(level, cfg.planning_rounds * dialogs)
-                new_sim = plan(play, cfg.planning_rounds, dialogs, self.sim_buffer, self.rngs["plan"],
-                               worker=worker)
+                new_sim = plan(partial(self._play_round, level), cfg.planning_rounds, dialogs,
+                               self.sim_buffer, self.rngs["plan"],
+                               worker=self._plan_worker(level, cfg.planning_rounds * dialogs))
             if self.curiosity is not None:
                 finish_curiosity = self._train_curiosity(max(1, math.ceil((new_real + new_sim) / 16)))
             if new_sim:
@@ -459,22 +457,18 @@ class Trainer:
 
     # ---- planning on a second process -------------------------------------------
 
-    def _planners(self, level: str, rollouts: int):
-        """``plan``'s ``play`` and ``worker`` for this epoch; ``worker`` is
-        None to plan in-process.
+    def _plan_worker(self, level: str, rollouts: int):
+        """``plan``'s worker for this epoch, or None to plan in-process.
 
         The worker is forked at the first call with at least two rollouts,
-        when this process may run on two CPUs and the Trainer was made with
-        ``use_worker``, and kept until ``close``. For the curiosity methods
-        it mirrors both replay buffers, and ``play`` feeds the half played
-        here to it.
+        when this process may run on two CPUs, and kept until ``close``.
+        For the curiosity methods it mirrors both replay buffers.
         """
-        play = partial(self._play_round, level)
         if rollouts < 2:
-            return play, None
+            return None
         if self._worker is None:
-            if not (self._use_worker and can_plan_in_parallel()):
-                return play, None
+            if not can_plan_in_parallel():
+                return None
             nets = [self.agent.q_net, self.world_model.net]
             mirrors = ()
             if self.curiosity is not None:
@@ -482,25 +476,19 @@ class Trainer:
                 mirrors = (self.real_buffer, self.sim_buffer)
             self._worker = PlanWorker(nets, self._play_round, self.curiosity, mirrors)
             weakref.finalize(self, self._worker.close)
-        worker = self._worker
-        if self.curiosity is not None:
-            play = lambda seeds: worker.feed(self._play_round(level, seeds))
-        return play, partial(worker.start, level)
+        return partial(self._worker.start, level)
 
     def _train_curiosity(self, n_batches: int):
         """Start the epoch's curiosity training; returns a callable that
         finishes it and returns its loss.
 
-        It runs on the planning worker, while this process goes on, if there
-        is one and its mirrors hold every append to the buffers; otherwise
-        here, when the callable is called. A worker whose mirrors missed an
-        append is closed, so the next plan call forks a fresh one.
+        It runs on the planning worker, while this process goes on, if
+        there is one; otherwise here, when the callable is called.
         """
         rng = self.rngs["curiosity"]
         if self._worker is not None:
-            if self._worker.start_training(n_batches, rng):
-                return partial(self._worker.finish_training, rng)
-            self.close()
+            self._worker.start_training(n_batches, rng)
+            return partial(self._worker.finish_training, rng)
         return partial(self.curiosity.train, self.real_buffer, self.sim_buffer, n_batches, rng)
 
     def _play_round(self, level: str, seeds):
@@ -604,13 +592,11 @@ def load_run_data(config: RunConfig):
 
 
 def run_experiment(config: RunConfig, kb: KnowledgeBase | None = None,
-                   goals: list[UserGoal] | None = None, run_id: str | None = None,
-                   use_worker: bool = True) -> Path:
+                   goals: list[UserGoal] | None = None, run_id: str | None = None) -> Path:
     """Run one configuration end to end and write its run directory.
 
     ``run_id`` (default ``config.run_id``) names the directory and fills the
     run_id column; the echoed config.json is always the exact config used.
-    ``use_worker`` goes to the ``Trainer``; the files do not depend on it.
     """
     config.validate()
     run_id = config.run_id if run_id is None else run_id
@@ -619,7 +605,7 @@ def run_experiment(config: RunConfig, kb: KnowledgeBase | None = None,
     run_dir = Path(config.out_dir) / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    trainer = Trainer(config, kb, goals, use_worker=use_worker)
+    trainer = Trainer(config, kb, goals)
     epoch_reports, eval_reports = trainer.run(
         on_checkpoint=lambda epoch, tr: tr.agent.save(run_dir / f"checkpoint_ep{epoch}.json")
     )

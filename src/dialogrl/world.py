@@ -32,22 +32,20 @@ the caller plays both halves in the same order, so the stored
 experiences, and every run output, do not depend on the number of CPUs.
 
 For the curiosity methods the worker also keeps mirrors of both replay
-buffers, fed the new real transitions with each batch and the caller's
-half of the rollouts as it is played, and trains the curiosity net on
-them while the caller runs the Q-net's update on simulated experience.
+buffers. After ``plan`` the caller sends them the transitions they lack,
+as arrays, and the worker trains the curiosity net on them while the
+caller runs the Q-net's update on simulated experience.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
-import itertools
 import logging
 import os
 import pickle
 import signal
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -319,16 +317,12 @@ class PlanWorker:
 
     Given ``curiosity`` and ``buffers`` (the real and the simulated replay
     buffer), the worker keeps mirrors of both: its fork-time copies of
-    them. Each batch sends the real transitions appended since the last
-    one, as arrays; ``feed`` streams the blocks of the half the parent
-    plays, which a thread of the worker stores as they come while it plays
-    its own half; then the worker stores its own half, so both mirrors
-    hold what ``plan`` stores, in the same order. The end marker is the
-    mirrors' append counts. ``start_training`` then trains the worker's
-    copy of the curiosity net on the mirrors while the parent goes on, and
-    ``finish_training`` copies the trained net and the rng state back: the
-    same steps, to the bit, as ``CuriosityModel.train`` on the parent's
-    buffers.
+    them. ``start_training`` sends each mirror the appends it lacks, as
+    arrays (``ReplayBuffer.appended`` counts them), then starts training
+    the worker's copy of the curiosity net on the mirrors while the parent
+    goes on; ``finish_training`` copies the trained net and the rng state
+    back: the same steps, to the bit, as ``CuriosityModel.train`` on the
+    parent's buffers.
 
     The worker exits on EOF of its command pipe. An error in a job is sent
     back, re-raised in the parent as the job's reply is read, and ends the
@@ -341,7 +335,7 @@ class PlanWorker:
         self._nets = nets
         self._curiosity = curiosity
         self._buffers = buffers
-        self._mirrored = [b.appended for b in buffers]  # appends the mirrors hold, per buffer
+        self._mirrored = [b.appended for b in buffers]  # appends sent to the mirrors, per buffer
         self._busy = False  # a job was started and its reply not yet read
         cmd_r, cmd_w = os.pipe()
         res_r, res_w = os.pipe()
@@ -362,55 +356,34 @@ class PlanWorker:
         """Start one batch of rollouts, one per seed; returns its blocks for
         ``plan``, read as they are iterated."""
         self._busy = True
-        pickle.dump(("plan", job, seeds, self._new_real()), self._cmd, pickle.HIGHEST_PROTOCOL)
+        pickle.dump(("plan", job, seeds), self._cmd)
         for net in self._nets:
             self._cmd.write(net.theta)
         self._cmd.flush()
         return self._receive()
 
-    def _new_real(self):
-        """The real transitions the mirror lacks, as arrays, or None."""
-        if not self._buffers:
-            return None
-        real = self._buffers[0]
-        n = min(real.appended - self._mirrored[0], len(real))
-        if n == 0:
-            return None
-        exps = [real[i] for i in range(len(real) - n, len(real))]
-        return (stack_rows([e.s for e in exps]), np.array([e.a for e in exps]),
-                np.array([e.r for e in exps]), np.array([e.a_user for e in exps]),
-                stack_rows([e.s_next for e in exps]), np.array([e.done for e in exps]))
-
-    def feed(self, blocks) -> Iterator:
-        """``blocks``, the other half of the started batch, as they are
-        iterated; each also goes to the worker's simulated mirror."""
-        for block in itertools.chain(blocks, [None]):  # then the end marker
-            with contextlib.suppress(BrokenPipeError):  # the worker failed: ``_receive`` says why
-                pickle.dump(block, self._cmd, pickle.HIGHEST_PROTOCOL)
-                self._cmd.flush()
-            if block is not None:
-                yield block
-
     def _receive(self) -> Iterator:
         """The started batch's blocks, in order, loaded as they are iterated."""
-        while True:
-            block = self._load()
-            if isinstance(block, list):  # the end marker
-                self._mirrored = block
-                break
+        while (block := self._load()) is not None:  # None is the end marker
             yield block
         self._busy = False
 
-    def start_training(self, n_batches: int, rng: np.random.Generator) -> bool:
-        """Start ``n_batches`` curiosity steps on the mirrors, drawn from
-        (a copy of) ``rng``. Starts nothing and returns False if an append
-        to the buffers has not reached the mirrors."""
-        if self._mirrored != [b.appended for b in self._buffers]:
-            return False
+    def start_training(self, n_batches: int, rng: np.random.Generator) -> None:
+        """Bring the mirrors up to date, then start ``n_batches`` curiosity
+        steps on them, drawn from (a copy of) ``rng``."""
         self._busy = True
-        pickle.dump(("train", n_batches, rng), self._cmd, pickle.HIGHEST_PROTOCOL)
-        self._cmd.flush()
-        return True
+        news = []
+        for k, buffer in enumerate(self._buffers):
+            n = min(buffer.appended - self._mirrored[k], len(buffer))  # the rest were evicted
+            news.append(_pack([buffer[i] for i in range(len(buffer) - n, len(buffer))]))
+            self._mirrored[k] = buffer.appended
+        with contextlib.suppress(BrokenPipeError):  # the worker failed: ``finish_training`` says why
+            pickle.dump(("train", n_batches, rng, [columns for columns, _ in news]), self._cmd,
+                        pickle.HIGHEST_PROTOCOL)
+            for _, states in news:
+                for s in states:
+                    self._cmd.write(s)
+            self._cmd.flush()
 
     def finish_training(self, rng: np.random.Generator) -> float | None:
         """The started training's loss. The curiosity net's weights, RMSProp
@@ -448,9 +421,25 @@ class PlanWorker:
         self.pid = None
 
 
+def _pack(exps: list[Experience]):
+    """``exps`` as columns ``(a, r, a_user, done, s, s_next, n_states,
+    width)``, where ``s`` and ``s_next`` index the distinct state arrays,
+    which are returned beside, each once: a state that is also another
+    transition's next state is sent, and mirrored, as one array."""
+    at = {}  # id of a state array -> (its index, the array)
+    s = [at.setdefault(id(e.s), (len(at), e.s))[0] for e in exps]
+    s_next = [at.setdefault(id(e.s_next), (len(at), e.s_next))[0] for e in exps]
+    states = [np.ascontiguousarray(x, dtype=np.float64) for _, x in at.values()]
+    columns = (np.array([e.a for e in exps]), np.array([e.r for e in exps], dtype=np.float64),
+               np.array([e.a_user for e in exps]), np.array([e.done for e in exps], dtype=bool),
+               np.array(s, dtype=np.int64), np.array(s_next, dtype=np.int64),
+               len(states), states[0].size if states else 0)
+    return columns, states
+
+
 def _read_array(pipe, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` with its size in bytes from ``pipe``."""
-    if pipe.readinto(memoryview(out).cast("B")) != out.nbytes:
+    if out.nbytes and pipe.readinto(memoryview(out).cast("B")) != out.nbytes:
         raise EOFError("pipe closed mid-array")
     return out
 
@@ -466,8 +455,8 @@ def _close_fds_except(*keep: int) -> None:
 
 def _serve(cmd, res, nets: list[MlpModel], play, curiosity, buffers) -> None:
     """The worker's loop, one job per command: play a batch and send its
-    blocks and the end marker, or train the curiosity net and send its
-    state. An error is sent back and ends the loop."""
+    blocks and the end marker, or update the mirrors, train the curiosity
+    net and send its state. An error is sent back and ends the loop."""
     while True:
         try:
             kind, *args = pickle.load(cmd)
@@ -475,10 +464,13 @@ def _serve(cmd, res, nets: list[MlpModel], play, curiosity, buffers) -> None:
             return
         try:
             if kind == "plan":
-                for block in _play_job(cmd, nets, play, buffers, *args):
+                job, seeds = args
+                for net in nets:
+                    _read_array(cmd, net.theta)
+                for block in list(play(job, seeds)) + [None]:
                     pickle.dump(block, res, pickle.HIGHEST_PROTOCOL)
             else:
-                _train_job(res, curiosity, buffers, *args)
+                _train_job(cmd, res, curiosity, buffers, *args)
         except Exception as exc:
             try:
                 payload = pickle.dumps(exc)
@@ -490,40 +482,15 @@ def _serve(cmd, res, nets: list[MlpModel], play, curiosity, buffers) -> None:
         res.flush()
 
 
-def _play_job(cmd, nets, play, buffers, job, seeds, real) -> list:
-    """Load the weights, play the batch and update the mirrors; returns the
-    blocks, then the end marker."""
-    for net in nets:
-        _read_array(cmd, net.theta)
-    if not buffers:
-        return list(play(job, seeds)) + [[]]
-    real_mirror, sim_mirror = buffers
-    if real is not None:
-        s, a, r, a_user, s_next, done = real
-        _store(real_mirror, map(Experience, list(s), a.tolist(), r.tolist(), a_user.tolist(),
-                                list(s_next), done.tolist()))
-    with ThreadPoolExecutor(1) as pool:  # stores the parent's half as it comes
-        fed = pool.submit(_store, sim_mirror, experiences(_fed_blocks(cmd)))
-        blocks = list(play(job, seeds))
-        fed.result()
-    _store(sim_mirror, experiences(blocks))
-    return blocks + [[real_mirror.appended, sim_mirror.appended]]
-
-
-def _fed_blocks(cmd) -> Iterator:
-    """The blocks ``PlanWorker.feed`` sends, up to its end marker."""
-    while (block := pickle.load(cmd)) is not None:
-        yield block
-
-
-def _store(buffer: ReplayBuffer, exps) -> None:
-    for exp in exps:
-        buffer.append(exp)
-
-
-def _train_job(res, curiosity, buffers, n_batches: int, rng: np.random.Generator) -> None:
-    """Train the curiosity net on the mirrors and send the loss, the step
-    count and the rng state, then the weights and the RMSProp state."""
+def _train_job(cmd, res, curiosity, buffers, n_batches: int, rng: np.random.Generator, news) -> None:
+    """Append the sent transitions to the mirrors, train the curiosity net
+    on them and send the loss, the step count and the rng state, then the
+    weights and the RMSProp state."""
+    for mirror, (a, r, a_user, done, s, s_next, n_states, width) in zip(buffers, news):
+        states = list(_read_array(cmd, np.empty((n_states, width))))
+        for exp in map(Experience, [states[i] for i in s], a.tolist(), r.tolist(), a_user.tolist(),
+                       [states[i] for i in s_next], done.tolist()):
+            mirror.append(exp)
     loss = curiosity.train(*buffers, n_batches, rng)
     net = curiosity.net
     pickle.dump((loss, net.step_count, rng.bit_generator.state), res, pickle.HIGHEST_PROTOCOL)

@@ -363,24 +363,6 @@ def test_matrix_jobs_parallel_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("cpus, forks", [(1, False), (2, True)])
-def test_matrix_forks_planning_workers_only_below_one_job_per_cpu(tmp_path, monkeypatch, cpus, forks):
-    import os
-
-    import dialogrl.training as training
-    from dialogrl.world import PlanWorker
-
-    monkeypatch.setattr(training, "can_plan_in_parallel", lambda: True)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    forked = []
-    real_init = PlanWorker.__init__
-    monkeypatch.setattr(PlanWorker, "__init__", lambda self, *a: forked.append(1) or real_init(self, *a))
-    kb_path, goals_path = make_data(tmp_path)
-    spec = matrix_spec(tmp_path, kb_path, goals_path, ["DDQ"], [], [0])
-    assert main(["matrix", "--config", str(spec), "--jobs", "1"]) == 0
-    assert bool(forked) == forks
-
-
 def test_matrix_empty_exit_zero(tmp_path, capsys):
     spec = tmp_path / "matrix.json"
     spec.write_text(json.dumps({"methods": [], "schedules": [], "seeds": []}))
