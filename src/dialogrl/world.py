@@ -318,11 +318,14 @@ class PlanWorker:
     Given ``curiosity`` and ``buffers`` (the real and the simulated replay
     buffer), the worker keeps mirrors of both: its fork-time copies of
     them. ``start_training`` sends each mirror the appends it lacks, as
-    arrays (``ReplayBuffer.appended`` counts them), then starts training
-    the worker's copy of the curiosity net on the mirrors while the parent
-    goes on; ``finish_training`` copies the trained net and the rng state
-    back: the same steps, to the bit, as ``CuriosityModel.train`` on the
-    parent's buffers.
+    arrays (``ReplayBuffer.appended`` counts them), but for the worker's
+    half of the last batch when no append came after it: the worker
+    decodes that half through ``experiences`` while ``plan`` stores it and
+    appends it after the sent rows itself. It then trains the worker's
+    copy of the curiosity net on the mirrors while the parent goes on;
+    ``finish_training`` copies the trained net and the rng state back: the
+    same steps, to the bit, as ``CuriosityModel.train`` on the parent's
+    buffers.
 
     The worker exits on EOF of its command pipe. An error in a job is sent
     back, re-raised in the parent as the job's reply is read, and ends the
@@ -336,6 +339,7 @@ class PlanWorker:
         self._curiosity = curiosity
         self._buffers = buffers
         self._mirrored = [b.appended for b in buffers]  # appends sent to the mirrors, per buffer
+        self._held = None  # (rows, simulated appends after them) of the worker's last half
         self._busy = False  # a job was started and its reply not yet read
         cmd_r, cmd_w = os.pipe()
         res_r, res_w = os.pipe()
@@ -364,26 +368,37 @@ class PlanWorker:
 
     def _receive(self) -> Iterator:
         """The started batch's blocks, in order, loaded as they are iterated."""
+        rows = 0
         while (block := self._load()) is not None:  # None is the end marker
+            if isinstance(block, tuple):  # a turn
+                rows += len(block[1])
             yield block
         self._busy = False
+        if self._buffers:  # ``plan`` has stored every row: it reads past the last block
+            self._held = rows, self._buffers[1].appended
 
     def start_training(self, n_batches: int, rng: np.random.Generator) -> None:
         """Bring the mirrors up to date, then start ``n_batches`` curiosity
         steps on them, drawn from (a copy of) ``rng``."""
         self._busy = True
-        news = []
-        for k, buffer in enumerate(self._buffers):
-            n = min(buffer.appended - self._mirrored[k], len(buffer))  # the rest were evicted
-            news.append(_pack([buffer[i] for i in range(len(buffer) - n, len(buffer))]))
-            self._mirrored[k] = buffer.appended
+        held, self._held = self._held, None
+        keep = held is not None and held[1] == self._buffers[1].appended
+        news = [self._lacking(0, 0), self._lacking(1, held[0] if keep else 0)]
         with contextlib.suppress(BrokenPipeError):  # the worker failed: ``finish_training`` says why
-            pickle.dump(("train", n_batches, rng, [columns for columns, _ in news]), self._cmd,
+            pickle.dump(("train", n_batches, rng, keep, [columns for columns, _ in news]), self._cmd,
                         pickle.HIGHEST_PROTOCOL)
             for _, states in news:
                 for s in states:
                     self._cmd.write(s)
             self._cmd.flush()
+
+    def _lacking(self, k: int, kept: int):
+        """The appends to buffer ``k`` that its mirror lacks, but for the
+        last ``kept``, packed for the worker."""
+        buffer = self._buffers[k]
+        n = min(buffer.appended - self._mirrored[k], len(buffer))  # the rest were evicted
+        self._mirrored[k] = buffer.appended
+        return _pack([buffer[i] for i in range(len(buffer) - n, len(buffer) - min(kept, n))])
 
     def finish_training(self, rng: np.random.Generator) -> float | None:
         """The started training's loss. The curiosity net's weights, RMSProp
@@ -457,6 +472,7 @@ def _serve(cmd, res, nets: list[MlpModel], play, curiosity, buffers) -> None:
     """The worker's loop, one job per command: play a batch and send its
     blocks and the end marker, or update the mirrors, train the curiosity
     net and send its state. An error is sent back and ends the loop."""
+    held = []  # the experiences of the worker's half of the last batch, for the mirror
     while True:
         try:
             kind, *args = pickle.load(cmd)
@@ -467,10 +483,14 @@ def _serve(cmd, res, nets: list[MlpModel], play, curiosity, buffers) -> None:
                 job, seeds = args
                 for net in nets:
                     _read_array(cmd, net.theta)
-                for block in list(play(job, seeds)) + [None]:
+                blocks = list(play(job, seeds))
+                for block in blocks + [None]:
                     pickle.dump(block, res, pickle.HIGHEST_PROTOCOL)
+                res.flush()
+                held = list(experiences(blocks)) if buffers else []  # while the parent stores them
             else:
-                _train_job(cmd, res, curiosity, buffers, *args)
+                _train_job(cmd, res, curiosity, buffers, held, *args)
+                held = []
         except Exception as exc:
             try:
                 payload = pickle.dumps(exc)
@@ -482,17 +502,25 @@ def _serve(cmd, res, nets: list[MlpModel], play, curiosity, buffers) -> None:
         res.flush()
 
 
-def _train_job(cmd, res, curiosity, buffers, n_batches: int, rng: np.random.Generator, news) -> None:
-    """Append the sent transitions to the mirrors, train the curiosity net
-    on them and send the loss, the step count and the rng state, then the
-    weights and the RMSProp state."""
+def _train_job(cmd, res, curiosity, buffers, held, n_batches: int, rng: np.random.Generator,
+               keep: bool, news) -> None:
+    """Append the sent transitions to the mirrors, then ``held`` to the
+    simulated one if ``keep``; train the curiosity net on them and send the
+    loss, the step count and the rng state, then the weights and the
+    RMSProp state."""
     for mirror, (a, r, a_user, done, s, s_next, n_states, width) in zip(buffers, news):
         states = list(_read_array(cmd, np.empty((n_states, width))))
-        for exp in map(Experience, [states[i] for i in s], a.tolist(), r.tolist(), a_user.tolist(),
-                       [states[i] for i in s_next], done.tolist()):
-            mirror.append(exp)
+        _store(mirror, map(Experience, [states[i] for i in s], a.tolist(), r.tolist(), a_user.tolist(),
+                           [states[i] for i in s_next], done.tolist()))
+    if keep:
+        _store(buffers[1], held)
     loss = curiosity.train(*buffers, n_batches, rng)
     net = curiosity.net
     pickle.dump((loss, net.step_count, rng.bit_generator.state), res, pickle.HIGHEST_PROTOCOL)
     res.write(net.theta)
     res.write(net.acc)
+
+
+def _store(buffer: ReplayBuffer, exps) -> None:
+    for exp in exps:
+        buffer.append(exp)
