@@ -10,6 +10,7 @@ import signal
 import pytest
 
 import dialogrl.training as training
+import dialogrl.world as world
 from dialogrl.agent import DqnAgent
 from dialogrl.cli import main
 from dialogrl.curiosity import CuriosityModel
@@ -286,6 +287,8 @@ def curiosity_state(tr):
 def test_curiosity_trains_on_the_worker_as_in_process(data, monkeypatch, capacity):
     kb, goals = data
     finished = counting(monkeypatch, PlanWorker, "finish_training")
+    packed, real_pack = [], world._pack
+    monkeypatch.setattr(world, "_pack", lambda exps: packed.append(len(exps)) or real_pack(exps))
     outs = {}
     for parallel in (False, True):
         monkeypatch.setattr(training, "can_plan_in_parallel", lambda: parallel)
@@ -295,6 +298,8 @@ def test_curiosity_trains_on_the_worker_as_in_process(data, monkeypatch, capacit
         outs[parallel] = losses, curiosity_state(tr), tr.epoch_ops
         tr.close()
     assert len(finished) == 4
+    # the worker's half of each batch is not sent back: the worker keeps it
+    assert len(packed) == 8 and sum(packed[1::2]) < tr.sim_buffer.appended
     assert outs[True] == outs[False]
     assert outs[True][2][0] == ["collect", "dqn_real", "world", "plan", "dqn_sim", "curiosity", "sync"]
     assert_no_children()
