@@ -33,8 +33,9 @@ experiences, and every run output, do not depend on the number of CPUs.
 
 For the curiosity methods the worker also keeps mirrors of both replay
 buffers. After ``plan`` the caller sends them the transitions they lack,
-as arrays, and the worker trains the curiosity net on them while the
-caller runs the Q-net's update on simulated experience.
+as arrays, but for the worker's own half of the rollouts, which the worker
+keeps; the worker then trains the curiosity net on them while the caller
+runs the Q-net's update on simulated experience.
 """
 
 from __future__ import annotations
