@@ -38,7 +38,12 @@ UPDATE_CHUNK = 32  # minibatches gathered together
 @dataclass
 class Experience:
     """One transition: state, agent action, reward, observed user action,
-    next state, terminal flag."""
+    next state, terminal flag.
+
+    The replay buffers hold ``s`` and ``s_next`` as float16 0/1 rows
+    (``env.stored_states``): the cast is exact both ways, and checks can
+    still see a non-binary value. ``stack_rows`` casts them back to float64.
+    """
 
     s: np.ndarray
     a: int
@@ -74,9 +79,11 @@ class ReplayBuffer:
 
 
 def stack_rows(rows: list[np.ndarray]) -> np.ndarray:
-    """``np.stack`` of equal-length 1-D arrays, without its view per row (a
-    quarter of the time for a chunk's 512 states)."""
-    return np.concatenate(rows).reshape(len(rows), -1)
+    """``np.stack`` of equal-length 1-D arrays into one float64 matrix,
+    without its view per row (a quarter of the time for a chunk's 512
+    states). This is where stored states are cast back to the dtype the
+    nets compute in: once per gathered chunk."""
+    return np.concatenate(rows, dtype=np.float64).reshape(len(rows), -1)
 
 
 def minibatch_rows(n: int):

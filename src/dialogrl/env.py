@@ -57,6 +57,17 @@ AGENT_REQUESTED = AGENT_INFORMED + N_SLOTS
 TURN_BUCKET = AGENT_REQUESTED + N_SLOTS
 KB_BUCKET = TURN_BUCKET + MAX_TURN_BUCKETS
 STATE_DIM = KB_BUCKET + KB_BUCKETS
+# Replay buffers store encoded states in this dtype: 0 and 1 are exact in
+# float16 and cast back to float64 exactly, so every net sees the same
+# inputs, from a quarter of float64's bytes; a non-binary value stays
+# visible to checks, as it would not in uint8 or bool.
+STATE_DTYPE = np.float16
+
+
+def stored_states(states: np.ndarray) -> np.ndarray:
+    """A STATE_DTYPE copy of one encoded state, or of a matrix of them, to
+    store in a replay buffer."""
+    return states.astype(STATE_DTYPE)
 
 
 @dataclass

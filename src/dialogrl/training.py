@@ -63,7 +63,7 @@ from .domain import (
     load_goals,
     load_kb,
 )
-from .env import DialogEnv, RewardConfig, RuleAgent, encode_state
+from .env import DialogEnv, RewardConfig, RuleAgent, encode_state, stored_states
 from .errors import ConfigError, read_json
 from .nets import one_blas_thread
 from .seeding import spawn_rng
@@ -330,11 +330,12 @@ class Trainer:
         the live dialogs from their encoded states (one row each), and each
         live env takes its step. The transitions are appended once the last
         dialog has ended, one dialog after another, so each dialog's
-        transitions stay contiguous. Each state is encoded once, into an
-        array of its own: a step's next state is the very array the next
-        step stores as its state, and ``states`` is a stacked copy (stored
-        rows that were views of a per-turn batch kept peak RSS about 1.5 %
-        higher in complete 300-epoch DQN runs).
+        transitions stay contiguous. Each state is encoded once and stored
+        as an array of its own (``stored_states``): a step's next state is
+        the very array the next step stores as its state, and ``states`` is
+        a stacked float64 copy (stored rows that were views of a per-turn
+        batch kept peak RSS about 1.5 % higher in complete 300-epoch DQN
+        runs).
         Returns the envs and each dialog's transitions, in dialog order.
         """
         envs = []
@@ -344,14 +345,14 @@ class Trainer:
             envs.append(env)
         dialogs: list[list[Experience]] = [[] for _ in envs]
         live = list(range(n_dialogs))
-        rows = [encode_state(env.state) for env in envs]  # each live dialog's current state
+        rows = [stored_states(encode_state(env.state)) for env in envs]  # each live dialog's current state
         while live:
             actions = choose([envs[i] for i in live], stack_rows(rows))
             next_live, next_rows = [], []
             for a, i, s in zip(actions, live, rows):
                 a = int(a)
                 outcome = envs[i].step(a)
-                s_next = encode_state(envs[i].state)
+                s_next = stored_states(encode_state(envs[i].state))
                 dialogs[i].append(Experience(s, a, outcome.reward,
                                              self.roster.user_index(outcome.user_act),
                                              s_next, outcome.done))

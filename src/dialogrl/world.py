@@ -15,7 +15,11 @@ one rollout's draws do not depend on when the others end.
 
 A batch comes out of ``play_round`` as blocks of arrays: the first turn's
 state matrix, then one ``(s_next, actions, rewards, user_acts, dones)``
-tuple per turn, one row per rollout that took the turn. ``experiences``
+tuple per turn, one row per rollout that took the turn. The state matrices
+come as float16 0/1 rows (``env.stored_states``), the dtype the replay
+buffers store states in: the cast is exact both ways, so the nets see the
+same float64 inputs, and checks can still see a non-binary value; the
+rounds themselves compute on float64. ``experiences``
 is the one decoder of that format: it yields the batch's experiences turn
 by turn, in rollout order, with each state a row view of its turn's
 matrix, so a rollout's next-state row is the very array its next
@@ -35,7 +39,8 @@ For the curiosity methods the worker also keeps mirrors of both replay
 buffers. After ``plan`` the caller sends them the transitions they lack,
 as arrays, but for the worker's own half of the rollouts, which the worker
 keeps; the worker then trains the curiosity net on them while the caller
-runs the Q-net's update on simulated experience.
+runs the Q-net's update on simulated experience. The mirrored states keep
+the dtype they are stored in.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from .agent import DqnAgent, Experience, ReplayBuffer, minibatch_rows, stack_row
 from .domain import ActionRoster, Intent, KnowledgeBase, Slot
 from .env import (AGENT_INFORMED, AGENT_INTENT, AGENT_REQUESTED, KB_BUCKET, KB_BUCKETS, MAX_TURN_BUCKETS,
                   N_SLOTS, OUTSTANDING, TURN_BUCKET, USER_INFORMED, USER_INTENT, DialogEnv, RewardConfig,
-                  encode_state)
+                  encode_state, stored_states)
 from .errors import ContractViolation, ShapeError
 from .nets import HeadSpec, LayerSpec, MlpModel, MlpSpec, TrainBatch, mlp_new
 
@@ -150,7 +155,9 @@ def play_round(agent: DqnAgent, curiosity, world_model: WorldModel, goal_sampler
     row per seed, then per turn ``(s_next, actions, rewards, user_acts,
     dones)``, arrays with one row per rollout that took the turn, in
     rollout order; the rows whose ``done`` is false take the next turn, in
-    the same order. ``experiences`` turns the blocks into experiences.
+    the same order. The state matrices are ``stored_states`` copies of the
+    float64 ones the round computes on. ``experiences`` turns the blocks
+    into experiences.
     Yielding a turn at a time lets ``plan`` store each as it comes, so the
     buffer evicts old experiences as the batch goes: collecting whole
     rounds first raised the peak memory of the benchmark's ``scddq_emd``
@@ -167,7 +174,7 @@ def play_round(agent: DqnAgent, curiosity, world_model: WorldModel, goal_sampler
         rows.append(encode_state(env.state))
     accepted = [{} for _ in rngs]
     s = np.stack(rows)
-    yield s
+    yield stored_states(s)
     live = np.arange(len(rngs))  # each live row's rollout
     in_goal = np.zeros((len(rngs), N_SLOTS), dtype=bool)
     for i, goal in enumerate(goals):
@@ -213,7 +220,7 @@ def play_round(agent: DqnAgent, curiosity, world_model: WorldModel, goal_sampler
             s_next[j, KB_BUCKET + min(len(hits[i]), KB_BUCKETS - 1)] = 1.0
 
         done = p_done > TERMINATION_THRESHOLD if turn < rewards.max_turns else np.ones(len(live), dtype=bool)
-        yield s_next, actions, reward, user, done
+        yield stored_states(s_next), actions, reward, user, done
         if done.any():
             alive = np.flatnonzero(~done)
             s, in_goal, live = s_next[alive], in_goal[alive], live[alive]
@@ -439,17 +446,19 @@ class PlanWorker:
 
 def _pack(exps: list[Experience]):
     """``exps`` as columns ``(a, r, a_user, done, s, s_next, n_states,
-    width)``, where ``s`` and ``s_next`` index the distinct state arrays,
-    which are returned beside, each once: a state that is also another
-    transition's next state is sent, and mirrored, as one array."""
+    width, dtype)``, where ``s`` and ``s_next`` index the distinct state
+    arrays, which are returned beside, each once and in the first one's
+    dtype: a state that is also another transition's next state is sent,
+    and mirrored, as one array."""
     at = {}  # id of a state array -> (its index, the array)
     s = [at.setdefault(id(e.s), (len(at), e.s))[0] for e in exps]
     s_next = [at.setdefault(id(e.s_next), (len(at), e.s_next))[0] for e in exps]
-    states = [np.ascontiguousarray(x, dtype=np.float64) for _, x in at.values()]
+    dtype = exps[0].s.dtype if exps else np.float64
+    states = [np.ascontiguousarray(x, dtype=dtype) for _, x in at.values()]
     columns = (np.array([e.a for e in exps]), np.array([e.r for e in exps], dtype=np.float64),
                np.array([e.a_user for e in exps]), np.array([e.done for e in exps], dtype=bool),
                np.array(s, dtype=np.int64), np.array(s_next, dtype=np.int64),
-               len(states), states[0].size if states else 0)
+               len(states), states[0].size if states else 0, dtype)
     return columns, states
 
 
@@ -509,8 +518,8 @@ def _train_job(cmd, res, curiosity, buffers, held, n_batches: int, rng: np.rando
     simulated one if ``keep``; train the curiosity net on them and send the
     loss, the step count and the rng state, then the weights and the
     RMSProp state."""
-    for mirror, (a, r, a_user, done, s, s_next, n_states, width) in zip(buffers, news):
-        states = list(_read_array(cmd, np.empty((n_states, width))))
+    for mirror, (a, r, a_user, done, s, s_next, n_states, width, dtype) in zip(buffers, news):
+        states = list(_read_array(cmd, np.empty((n_states, width), dtype)))
         _store(mirror, map(Experience, [states[i] for i in s], a.tolist(), r.tolist(), a_user.tolist(),
                            [states[i] for i in s_next], done.tolist()))
     if keep:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dialogrl.agent import DqnAgent, Experience, ReplayBuffer
+from dialogrl.env import STATE_DTYPE, stored_states
 from dialogrl.errors import ShapeError
 
 
@@ -235,6 +236,28 @@ def test_update_matches_per_minibatch_reference(n_batches):
     assert agent.q_net.theta.tobytes() == ref_q.theta.tobytes()
     assert agent.q_net.acc.tobytes() == ref_q.acc.tobytes()
     assert agent.target_net.theta.tobytes() == target.theta.tobytes()
+
+
+def test_learners_train_to_the_same_bits_on_float16_states():
+    # Stored states are float16; a learner that computed on them instead of
+    # on their float64 casts would drift from the float64 copies' bits.
+    from dialogrl.curiosity import CuriosityModel
+    from dialogrl.world import WorldModel
+
+    rng = np.random.default_rng(6)
+    exps = [make_exp(rng, done=i % 7 == 0) for i in range(300)]
+    outs = []
+    for cast in (stored_states, lambda s: s.astype(np.float64)):
+        real, sim = ReplayBuffer(kind="real"), ReplayBuffer(kind="simulated")
+        for i, e in enumerate(exps):
+            (real if i % 3 else sim).append(Experience(cast(e.s), e.a, e.r, e.a_user, cast(e.s_next), e.done))
+        assert real[0].s.dtype == (STATE_DTYPE if cast is stored_states else np.float64)
+        agent, wm, cm = DqnAgent(seed=4), WorldModel(seed=5), CuriosityModel(seed=6)
+        losses = [agent.update(real, 40, np.random.default_rng(1)), wm.train(real, 40, np.random.default_rng(2)),
+                  cm.train(real, sim, 40, np.random.default_rng(3))]
+        outs.append((losses, [(net.theta.tobytes(), net.acc.tobytes())
+                              for net in (agent.q_net, wm.net, cm.net)]))
+    assert outs[0] == outs[1]
 
 
 def test_update_converges_to_fixed_point():

@@ -7,14 +7,16 @@ import os
 import pickle
 import signal
 
+import numpy as np
 import pytest
 
 import dialogrl.training as training
 import dialogrl.world as world
-from dialogrl.agent import DqnAgent
+from dialogrl.agent import DqnAgent, Experience
 from dialogrl.cli import main
 from dialogrl.curiosity import CuriosityModel
 from dialogrl.curriculum import stage_boundaries
+from dialogrl.env import STATE_DTYPE, stored_states
 from dialogrl.errors import NumericError
 from dialogrl.nets import blas_thread_control
 from dialogrl.training import (RunConfig, Trainer, load_run_data, run_experiment, write_eval_csv,
@@ -124,7 +126,18 @@ def test_worker_planning_matches_in_process(tmp_path, data, monkeypatch, method,
     assert len(fields) == (capacity if capacity < 5000 else len(fields)) > 0
     # a rollout's next state is the very array its next transition stores as its state
     assert all((j > i) == (not done) for i, (j, (*_, done)) in enumerate(zip(successors, fields)))
+    # warm start, collection and both planning halves store float16 states, with the worker and without
+    assert {x.dtype for tr in trainers for buf in (tr.real_buffer, tr.sim_buffer) for e in buf
+            for x in (e.s, e.s_next)} == {np.dtype(STATE_DTYPE)}
     assert_no_children()
+
+
+def test_pack_sends_states_in_their_stored_dtype():
+    s = list(stored_states(np.eye(3)))
+    exps = [Experience(s[0], 1, -1.0, 2, s[1], False), Experience(s[1], 0, 2.0, 1, s[2], True)]
+    columns, states = world._pack(exps)
+    assert columns[6:] == (3, 3, STATE_DTYPE)
+    assert [x.tobytes() for x in states] == [x.tobytes() for x in s]
 
 
 def test_worker_needs_two_cpus(data):

@@ -7,7 +7,7 @@ import pytest
 from dialogrl.agent import DqnAgent
 from dialogrl.curriculum import build_buffers
 from dialogrl.domain import default_roster
-from dialogrl.env import RewardConfig, RuleAgent, encode_state
+from dialogrl.env import RewardConfig, RuleAgent, encode_state, stored_states
 from dialogrl.errors import ConfigError
 from dialogrl.seeding import spawn_rng
 from dialogrl.training import (
@@ -217,10 +217,10 @@ def test_warm_start_matches_sequential_reference(data, method, schedule, capacit
     for _ in range(cfg.warm_start_dialogs):
         state, _ = env.reset(sample_goal(ref.buffers, ref.level_for_epoch(0), warm))
         while not env.done:
-            s, a = encode_state(state), ref.rule_agent.act(state)
+            s, a = stored_states(encode_state(state)), ref.rule_agent.act(state)
             out = env.step(a)
             ref.real_buffer.append(Experience(s, a, out.reward, ref.roster.user_index(out.user_act),
-                                              encode_state(state), out.done))
+                                              stored_states(encode_state(state)), out.done))
             total += 1
     for _ in range(cfg.warm_start_updates):
         ref.agent.update(ref.real_buffer, n_batches=1, rng=ref.rngs["warm-train"])

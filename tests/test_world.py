@@ -10,7 +10,7 @@ from dialogrl.curriculum import build_buffers, sample_goal
 from dialogrl.domain import (DEFAULT_GOAL_COUNTS, DialogAct, Intent, KnowledgeBase, Slot,
                              default_roster, generate_goal_set, generate_kb)
 from dialogrl.env import (KB_BUCKET, MAX_TURN_BUCKETS, OUTSTANDING, STATE_DIM, USER_INFORMED,
-                          DialogEnv, RewardConfig, RuleAgent, encode_state)
+                          DialogEnv, RewardConfig, RuleAgent, encode_state, stored_states)
 from dialogrl.errors import ContractViolation
 from dialogrl.world import WorldModel, encode_inputs, experiences, plan, play_round
 
@@ -483,7 +483,7 @@ def reference_round(agent, curiosity, world_model, goal_sampler, seeds, kb, rost
         env.reset(goal_sampler(r))
         envs.append(env)
     s = np.stack([encode_state(env.state) for env in envs])
-    rows = list(s)
+    rows = list(stored_states(s))
     while envs:
         bonus = curiosity.values(s) if curiosity is not None else None
         actions = agent.select_actions(s, rngs, bonus)
@@ -496,11 +496,12 @@ def reference_round(agent, curiosity, world_model, goal_sampler, seeds, kb, rost
         probs, reward, p_done = world_model.predict(s, actions)
         user_idx = probs.argmax(axis=1)
         s_next = np.empty_like(s)
-        next_rows = list(s_next)
+        next_rows = []
         alive = []
         for i, env in enumerate(envs):
             apply_simulated_user_act(env, roster.user_actions[int(user_idx[i])])
             s_next[i] = encode_state(env.state)
+            next_rows.append(stored_states(s_next[i]))
             done = bool(p_done[i] > 0.5 or env.state.turn >= rewards.max_turns)
             yield Experience(rows[i], int(actions[i]), float(reward[i]),
                              int(user_idx[i]), next_rows[i], done)
