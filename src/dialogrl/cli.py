@@ -32,7 +32,7 @@ from .domain import (
     save_kb,
 )
 from .env import DialogEnv, RewardConfig, encode_state, render_act
-from .errors import AnalysisError, ConfigError, DialogRlError, NumericError, ParseError, read_json
+from .errors import AnalysisError, ConfigError, DialogRlError, NumericError, ParseError, make_dir, read_json
 from .seeding import derive_seed, spawn_rng
 from .training import (
     METHODS,
@@ -65,8 +65,7 @@ def cmd_gen_data(args) -> int:
         print("error: --movies must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     counts = _parse_goal_counts(args.goals_spec)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(args.out_dir, ConfigError, "out-dir")
     kb = generate_kb(seed=args.seed, n_movies=args.movies)
     goals = generate_goal_set(kb, counts, seed=args.seed)
     save_kb(kb, out / "kb.json")

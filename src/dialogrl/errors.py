@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the one reader of JSON
-input files, which reports every way such a file can fail as one of them."""
+"""Exception types shared across the package, the one reader of JSON input
+files, which reports every way such a file can fail as one of them, and the
+one maker of output directories, which does the same for a directory that
+cannot be created."""
 
 import json
 from pathlib import Path
@@ -71,3 +73,16 @@ def read_json(path, error: type[DialogRlError], what: str):
     except json.JSONDecodeError as exc:
         problem = f"invalid JSON at line {exc.lineno}: {exc.msg}"
     raise error(f"{what} {path}: {problem}")
+
+
+def make_dir(path, error: type[DialogRlError], what: str) -> Path:
+    """Create the directory ``path`` and its missing parents, if it is not
+    there yet. A path that cannot be one (a parent is a file, say) raises
+    ``error`` with a one-line message that names ``what``, the path and the
+    problem."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise error(f"{what} {path}: cannot create the directory: {exc.strerror or exc}") from None
+    return path

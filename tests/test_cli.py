@@ -68,6 +68,13 @@ def test_gen_data_negative_goal_count_usage_error(tmp_path, capsys):
     assert not (tmp_path / "goals.json").exists()
 
 
+def test_gen_data_out_dir_under_a_file_exit_2(tmp_path, capsys):
+    kb_path, _ = make_data(tmp_path)
+    out = kb_path / "x"
+    rc = main(["gen-data", "--movies", "60", "--goals-spec", "1:4", "--out-dir", str(out)])
+    assert_usage_error(capsys, rc, f"out-dir {out}: cannot create the directory")
+
+
 def test_train_writes_run_dir(tmp_path, capsys):
     kb_path, goals_path = make_data(tmp_path)
     config = tiny_train_config(tmp_path, kb_path, goals_path)
@@ -110,6 +117,7 @@ def test_train_invalid_gating_exit_2(tmp_path, capsys):
     ("planning_dialogs_per_round", -1),
     ("eval_epsilon", -0.5),
     ("eval_epsilon", 2.0),
+    ("warm_start_updates", -3),
 ])
 def test_train_out_of_range_exit_2(tmp_path, capsys, field, value):
     kb_path, goals_path = make_data(tmp_path)
@@ -118,6 +126,13 @@ def test_train_out_of_range_exit_2(tmp_path, capsys, field, value):
     assert rc == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+def test_train_out_dir_under_a_file_exit_2(tmp_path, capsys):
+    kb_path, goals_path = make_data(tmp_path)
+    config = tiny_train_config(tmp_path, kb_path, goals_path, out_dir=str(kb_path / "runs"))
+    rc = main(["train", "--config", str(config)])
+    assert_usage_error(capsys, rc, f"out_dir {kb_path / 'runs' / 'SC-DDQ_EMD_1'}: cannot create the directory")
 
 
 @pytest.mark.parametrize("overrides", [
