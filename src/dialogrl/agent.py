@@ -71,11 +71,6 @@ class ReplayBuffer:
         self._items.append(exp)
         self.appended += 1
 
-    def extend(self, exps: list[Experience]) -> None:
-        """``append`` each of ``exps``, in order."""
-        self._items.extend(exps)
-        self.appended += len(exps)
-
     def __len__(self) -> int:
         return len(self._items)
 

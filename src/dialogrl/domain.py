@@ -110,9 +110,6 @@ REQUEST_PRIORITY = (
 # Constraints the user always states up front when the goal knows them.
 FIRST_ACT_REQUIRED_INFORMS = (Slot.MOVIENAME,)
 
-# The value an agent inform carries when no KB record matches the constraints.
-NO_MATCH = "no match available"
-
 
 def normalize_value(value: str) -> str:
     return value.strip().lower()
@@ -148,9 +145,6 @@ class ActionRoster:
         self.agent_actions = list(agent_actions)
         self.user_actions = list(user_actions)
         self._user_lookup = {self._key(a): i for i, a in enumerate(self.user_actions)}
-        # Each template's intent and topic slot (-1 for a bare intent), as arrays
-        self.agent_intent, self.agent_topic = self._key_arrays(self.agent_actions)
-        self.user_intent, self.user_topic = self._key_arrays(self.user_actions)
 
     @property
     def n_agent_actions(self) -> int:
@@ -171,12 +165,6 @@ class ActionRoster:
             topic = next(iter(act.inform_slots))
             return (Intent.INFORM, topic)
         return (act.intent,)
-
-    @classmethod
-    def _key_arrays(cls, acts):
-        keys = [cls._key(act) + (-1,) for act in acts]
-        return (np.array([int(key[0]) for key in keys], dtype=np.int64),
-                np.array([int(key[1]) for key in keys], dtype=np.int64))
 
     def user_index(self, act: DialogAct) -> int:
         return self._user_lookup[self._key(act)]
@@ -294,41 +282,21 @@ class MovieRecord:
 
 
 class KnowledgeBase:
-    """Immutable movie table with an inverted index for constraint queries.
-
-    Every distinct normalized value has a code (``code``), NO_MATCH's 0, and
-    ``code_table`` holds the code of each record's value of each slot (-1
-    where it has none), plus a last row of NO_MATCH codes: what the agent
-    informs, as arrays, when its first matching record is that row.
-    """
+    """Immutable movie table with an inverted index for constraint queries."""
 
     def __init__(self, records, seed=0):
         self.records: list[MovieRecord] = list(records)
         self.seed = seed
         self._index: dict[tuple[Slot, str], set[int]] = {}
-        self._codes: dict[str, int] = {normalize_value(NO_MATCH): 0}
-        self.code_table = np.full((len(self.records) + 1, len(Slot)), -1, dtype=np.int32)
-        self.code_table[-1] = 0
         for i, rec in enumerate(self.records):
             for slot, value in rec.values.items():
-                value = normalize_value(value)
-                self._index.setdefault((slot, value), set()).add(i)
-                self.code_table[i, slot] = self._codes.setdefault(value, len(self._codes))
-        # (slot, value as queried) -> its index entry, and value as queried
-        # -> its code, so each distinct value is normalized once; queried
-        # values come from the goals and the KB
+                self._index.setdefault((slot, normalize_value(value)), set()).add(i)
+        # (slot, value as queried) -> its index entry, so each distinct value
+        # is normalized once; queried values come from the goals and the KB
         self._lookup: dict[tuple[Slot, str], set[int]] = {}
-        self._code_lookup: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def code(self, value: str) -> int:
-        """The code of ``value`` normalized, or -1 if no record has it."""
-        code = self._code_lookup.get(value)
-        if code is None:
-            code = self._code_lookup[value] = self._codes.get(normalize_value(value), -1)
-        return code
 
     def hits(self, constraints: dict[Slot, str]) -> set[int] | range:
         """Ids of the records matching every constraint, unordered; do not mutate."""

@@ -3,33 +3,19 @@
 Holds the dialog state tracker, the hand-crafted user simulator with its
 reward rules, the fixed-length binary state encoding, the scripted agent
 used for warm starts, and post-hoc success judgment over transcripts.
-
-The tracker and the simulator come twice. ``DialogEnv`` plays one dialog
-with readable objects: evaluation, ``eval --show`` and the tests use it,
-and every dialog, real or planned, starts with its ``reset``, which draws
-the simulator's random choices (there are none after it).
-``BatchTracker`` takes a batch of just-reset dialogs that advance in
-lockstep and keeps their tracker state in arrays, one row per dialog still
-running: each turn updates every row with one set of numpy ops, the agent's
-act and then the user's, which is the simulator's rules computed the same
-way (``step``, for real dialogs) or a world model's prediction
-(``step_with``, for planning). Per-dialog Python runs only where the KB
-must be queried: an agent inform that answers an outstanding request, and
-a row whose constraints changed. The two must agree to the bit; a
-differential test holds them to it.
+``DialogEnv`` encodes its state in full once per dialog, at ``reset``;
+each step then changes only the entries its turn changed.
 
 Success semantics: a booking succeeds when (a) the user has voiced every
 constraint of their goal, (b) the agent has answered every requested slot
 with values the user accepted, and (c) one KB record satisfies the full
 constraint set. The user only accepts an answer that is consistent with a
 record matching all their constraints plus previously accepted answers, so
-(c) holds whenever (a) and (b) do: ``DialogEnv`` still re-checks it,
-``BatchTracker`` relies on it.
+(c) holds whenever (a) and (b) do; it is still re-checked defensively.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,9 +24,9 @@ from .domain import (
     ActionRoster,
     DialogAct,
     FIRST_ACT_REQUIRED_INFORMS,
+    INFORMABLE_SLOTS,
     Intent,
     KnowledgeBase,
-    NO_MATCH,
     REQUEST_PRIORITY,
     Slot,
     UserGoal,
@@ -161,6 +147,13 @@ def encode_state(state: DialogState) -> np.ndarray:
 class DialogEnv:
     """One episode at a time against the rule-based user simulator.
 
+    ``encoding`` is the state's encoding as replay buffers store it,
+    ``stored_states(encode_state(state))``: ``reset`` encodes the state
+    once, and each ``step_act`` copies it and updates only the entries the
+    turn changed, so a dialog's states are never re-encoded in full,
+    and an encoding once read stays as it was: a replay buffer can store
+    it as it is. (Calling ``apply_agent_act`` alone leaves it behind.)
+
     With ``record_transcript`` each act of the episode is logged to
     ``transcript`` as a dict (for ``judge_success`` and ``write_transcript``);
     otherwise ``transcript`` stays empty.
@@ -177,6 +170,7 @@ class DialogEnv:
         self.goal: UserGoal | None = None
         self.state: DialogState | None = None
         self.kb_hits: set[int] | range = range(0)  # ids matching the tracked constraints; do not mutate
+        self.encoding: np.ndarray | None = None
         self.record_transcript = record_transcript
         self.transcript: list[dict] = []
         self._done = True
@@ -199,6 +193,7 @@ class DialogEnv:
         self._record_user_informs(first)
         self.state.last_user_act = first
         self._log_act("user", first, 0.0)
+        self.encoding = stored_states(encode_state(self.state))
         return self.state, first
 
     def step(self, action_index: int) -> StepOutcome:
@@ -208,6 +203,8 @@ class DialogEnv:
         """Advance one turn with an already-realized agent act."""
         if self._done:
             raise ContractViolation("step() called after the episode ended")
+        st = self.state
+        before = st.turn, st.last_agent_act, st.last_user_act, st.kb_match_count, len(st.outstanding)
         self.apply_agent_act(act)
 
         reward = self.rewards.per_turn
@@ -226,9 +223,38 @@ class DialogEnv:
 
         self._record_user_informs(user_act)
         self.state.last_user_act = user_act
+        self._encode_turn(act, user_act, *before)
         self._log_act("agent", act, reward)
         self._log_act("user", user_act, 0.0)
         return StepOutcome(user_act, reward, self._done, self._success)
+
+    def _encode_turn(self, act: DialogAct, user_act: DialogAct, turn: int, last_agent_act: DialogAct | None,
+                     last_user_act: DialogAct, kb_match_count: int, n_outstanding: int) -> None:
+        """Make ``encoding`` a copy brought from the state before the turn,
+        described by the last five arguments, to the state after the acts
+        ``act`` and ``user_act``: the entries of ``encode_state`` a turn can
+        change."""
+        st = self.state
+        v = self.encoding = self.encoding.copy()
+        v[TURN_BUCKET + min(turn, MAX_TURN_BUCKETS - 1)] = 0.0
+        v[TURN_BUCKET + min(st.turn, MAX_TURN_BUCKETS - 1)] = 1.0
+        if last_agent_act is not None:
+            v[AGENT_INTENT + last_agent_act.intent] = 0.0
+        v[AGENT_INTENT + act.intent] = 1.0
+        if act.intent == Intent.REQUEST:
+            v[AGENT_REQUESTED + act.request_slots[0]] = 1.0
+        elif act.intent == Intent.INFORM:
+            for s in act.inform_slots:
+                v[AGENT_INFORMED + s] = 1.0
+            if len(st.outstanding) < n_outstanding:  # the inform answered a request
+                v[OUTSTANDING + next(iter(act.inform_slots))] = 0.0
+        v[USER_INTENT + last_user_act.intent] = 0.0
+        v[USER_INTENT + user_act.intent] = 1.0
+        for s in user_act.inform_slots:
+            if s in self.goal.inform_slots:
+                v[USER_INFORMED + s] = 1.0
+        v[KB_BUCKET + min(kb_match_count, KB_BUCKETS - 1)] = 0.0
+        v[KB_BUCKET + min(st.kb_match_count, KB_BUCKETS - 1)] = 1.0
 
     @property
     def done(self) -> bool:
@@ -250,7 +276,7 @@ class DialogEnv:
             if slot == Slot.TASKCOMPLETE:
                 return DialogAct(Intent.INFORM, {Slot.TASKCOMPLETE: "booked"})
             hits = self.kb_hits
-            value = self.kb.records[min(hits)].values[slot] if hits else NO_MATCH
+            value = self.kb.records[min(hits)].values[slot] if hits else "no match available"
             return DialogAct(Intent.INFORM, {slot: value})
         return DialogAct(template.intent)
 
@@ -340,7 +366,7 @@ class DialogEnv:
         if self.kb.match_count(probe) >= 1:
             st.accepted[slot] = value
             st.outstanding.remove(slot)
-            self._refresh_kb_count()
+            self._refresh_kb_count({slot: value})
 
     def _booking_success(self) -> bool:
         st, goal = self.state, self.goal
@@ -358,18 +384,18 @@ class DialogEnv:
         informs = {s: v for s, v in act.inform_slots.items() if s in self.goal.inform_slots}
         if informs:
             self.state.user_informs.update(informs)
-            self._refresh_kb_count()
+            self._refresh_kb_count(informs)
 
-    def _constraints(self) -> dict[Slot, str]:
-        merged = dict(self.state.user_informs)
-        merged.update(self.state.accepted)
-        return merged
-
-    def _refresh_kb_count(self) -> None:
-        """Requery the KB matches of the constraints, kept for agent informs;
-        called only where the constraints change (a user inform of a goal
-        slot, an accepted answer)."""
-        self.kb_hits = self.kb.hits(self._constraints())
+    def _refresh_kb_count(self, added: dict[Slot, str]) -> None:
+        """Narrow the KB matches, kept for agent informs, by the constraints
+        just ``added`` (a user inform of a goal slot, an accepted answer).
+        Constraints only grow: a goal's constraints and requests are
+        disjoint, and the user restates a constraint only with its goal
+        value, so the matches of all constraints are those of the old ones
+        that match the added ones too."""
+        hits = self.kb.hits(added)
+        # (the matches are a range of every record until something constrains them)
+        self.kb_hits = hits if isinstance(self.kb_hits, range) else hits.intersection(self.kb_hits)
         self.state.kb_match_count = len(self.kb_hits)
 
     def _finish(self, success: bool) -> None:
@@ -384,263 +410,6 @@ class DialogEnv:
         )
 
 
-# Per slot, its place in REQUEST_PRIORITY, the order in which the user asks
-# for the requests still open; N_SLOTS for the ticket, which only the
-# booking answers, and for slots never requested.
-_PRIORITY = np.full(N_SLOTS, N_SLOTS, dtype=np.int64)
-_PRIORITY[[s for s in REQUEST_PRIORITY if s != Slot.TICKET]] = np.arange(len(REQUEST_PRIORITY) - 1)
-
-# The simulator's replies (``DialogEnv.step_act``), case by case: the intent
-# of the user act, where the slot of its template comes from and where the
-# slot it informs comes from. Slot sources: 0 none, 1 the agent act's slot,
-# 2 the first open request (not the ticket), 3 the first goal constraint not
-# yet stated.
-_REPLIES = np.array([
-    (Intent.THANKS, 0, 0),    # 0: a booking that succeeds
-    (Intent.DENY, 0, 0),      # 1: a booking that fails
-    (Intent.CLOSING, 0, 0),   # 2: the turn cap
-    (Intent.INFORM, 1, 1),    # 3: asked for a constraint: state it
-    (Intent.NOT_SURE, 0, 0),  # 4: asked for anything else
-    (Intent.DENY, 0, 1),      # 5: told a wrong value of a constraint: restate it
-    (Intent.DENY, 0, 3),      # 6: told an open request's value that no record allows: hint a constraint
-    (Intent.REQUEST, 2, 3),   # 7: unprompted: ask for the next open request, with a constraint
-    (Intent.INFORM, 3, 3),    # 8: unprompted, with none open: state a constraint
-    (Intent.THANKS, 0, 0),    # 9: unprompted, with everything said: be ready to book
-], dtype=np.int64)
-_WIN, _LOSE, _CAPPED, _UNPROMPTED = 0, 1, 2, 7
-_ENDED = np.arange(len(_REPLIES)) <= _CAPPED  # the cases that end the dialog
-# Agent templates by what the simulator reacts to
-_BOOK, _ASK, _TELL, _OTHER = range(4)
-
-
-def _reply_case(kind: int, constraint: bool, wrong: bool, open_request: bool, unprompted: int) -> int:
-    """The simulator's reply (a row of ``_REPLIES``) to an agent act of
-    ``kind`` that does not book, before the turn cap, as
-    ``DialogEnv._user_response`` picks it: ``constraint`` tells whether the
-    act's slot is a goal constraint, ``wrong`` whether the value an inform
-    of it carries differs from the goal's, ``open_request`` whether the
-    slot is a request still open after the act, and ``unprompted`` is the
-    row of the move the user makes when not reacting."""
-    if kind == _ASK:
-        return 3 if constraint else 4
-    if kind == _TELL and constraint and wrong:
-        return 5
-    if kind == _TELL and open_request:
-        return 6
-    return unprompted
-
-
-# ``_reply_case`` for every combination of its arguments, indexed by them
-# (the last one less _UNPROMPTED)
-_CASES = np.array([_reply_case(*key) for key in itertools.product(
-    range(4), (False, True), (False, True), (False, True), range(_UNPROMPTED, len(_REPLIES)))]
-).reshape(4, 2, 2, 2, len(_REPLIES) - _UNPROMPTED)
-
-
-def _first_slot(mask: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """Per row, the slot of ``mask`` with the lowest ``rank`` (below
-    N_SLOTS), or -1 where it has none."""
-    ranked = np.where(mask, rank, N_SLOTS)
-    return np.where(ranked.min(axis=1) < N_SLOTS, ranked.argmin(axis=1), -1)
-
-
-class BatchTracker:
-    """The tracker state of a batch of dialogs that advance in lockstep,
-    kept in arrays with one row per dialog still running.
-
-    Made from each dialog's ``DialogEnv`` just after its ``reset``. Each
-    turn applies the agent's acts and then the user's to every row: the
-    rule-based simulator's reply (``step``) or a given template per row,
-    realized from the goal (``step_with``, as planning takes it from the
-    world model). ``drop`` then removes the rows whose dialogs ended.
-
-    ``s`` holds the live rows' float64 encodings (``encode_state``),
-    updated in place, ``live`` each row's dialog, ``turn`` the agent acts
-    every live dialog has taken, ``said`` whether each row's last user act
-    informed a goal slot, and ``goals`` and ``success`` every dialog's goal
-    and whether it booked successfully, in dialog order. What the simulator
-    says unprompted depends on each row's first open request and first
-    unstated constraint; they change only where per-row Python runs anyway,
-    so ``step`` keeps them up to date there (``step_with`` has no use for
-    them).
-    """
-
-    def __init__(self, envs: list[DialogEnv]):
-        kb, roster, rewards = envs[0].kb, envs[0].roster, envs[0].rewards
-        self.kb = kb
-        self.goals = [env.goal for env in envs]
-        self.accepted: list[dict[Slot, str]] = [{} for _ in envs]  # each dialog's accepted answers
-        self.success = np.zeros(len(envs), dtype=bool)
-        self.turn = 0
-        self.s = np.stack([encode_state(env.state) for env in envs])
-        self.live = np.arange(len(envs))
-        self.said = np.array([bool(env.state.last_user_act.inform_slots) for env in envs])
-        # each dialog's matching records, and each row's first one (its inform values), len(kb) for none
-        self.hits = [env.kb_hits for env in envs]
-        self.first = np.array([min(hits) if hits else len(kb.records) for hits in self.hits])
-        # each row's first open request but the ticket, and first unstated
-        # constraint (-1 for none), and so what it says unprompted
-        ticket = Slot.TICKET
-        self.pending = np.array([next((q for q in env.state.outstanding if q != ticket), -1) for env in envs])
-        # each dialog's goal constraints not yet stated, in goal order
-        self._unstated_order = [[q for q in env.goal.inform_slots if q not in env.state.user_informs]
-                                for env in envs]
-        self.unstated = np.array([order[0] if order else -1 for order in self._unstated_order])
-        self.unprompted = np.where(self.pending >= 0, 0, np.where(self.unstated >= 0, 1, 2))
-        # each row's goal constraints and the codes of their values
-        self.in_goal = np.zeros((len(envs), N_SLOTS), dtype=bool)
-        self.goal_codes = np.full((len(envs), N_SLOTS), -1, dtype=np.int64)
-        at = [(i, slot, kb.code(value)) for i, goal in enumerate(self.goals) for slot, value in goal.inform_slots.items()]
-        if at:
-            rows, slots, codes = zip(*at)
-            self.in_goal[rows, slots] = True
-            self.goal_codes[rows, slots] = codes
-        self._added: dict[int, dict[Slot, str]] = {}  # per row, the constraints added this turn
-        self._at = np.arange(len(envs))
-        self._entry = self._at * STATE_DIM  # where each row starts in ``s`` flattened
-        self._none = np.full(len(envs), -1)
-
-        self._max_turns = rewards.max_turns
-        step, win, lose = rewards.per_turn, rewards.per_turn + rewards.success_bonus, \
-            rewards.per_turn + rewards.failure_penalty
-        # per case; stored transitions share these float objects
-        self._rewards = [win, lose, lose] + [step] * (len(_REPLIES) - 3)
-        # (plain ints: comparing an array with an IntEnum member costs several times more)
-        intent, topic = roster.agent_intent, roster.agent_topic
-        asks, tells = intent == int(Intent.REQUEST), intent == int(Intent.INFORM)
-        self._book = tells & (topic == int(Slot.TASKCOMPLETE))
-        self._agent_kind = np.where(self._book, _BOOK, np.where(asks, _ASK, np.where(tells, _TELL, _OTHER)))
-        self._agent_slot = topic
-        self._intent_column = AGENT_INTENT + intent
-        # the column each act sets besides its intent's (a bare intent sets that one again)
-        self._agent_column = np.where(asks, AGENT_REQUESTED + topic,
-                                      np.where(tells, AGENT_INFORMED + topic, self._intent_column))
-        # the outstanding column of the request an inform may answer; for the
-        # other acts, that of GREETING, which no goal requests
-        self._answer_column = OUTSTANDING + np.where(tells & ~self._book & (topic != int(Slot.TICKET)), topic,
-                                                     int(Slot.GREETING))
-        self._user_intent = roster.user_intent
-        self._user_informs = np.where(roster.user_intent == int(Intent.INFORM), roster.user_topic, -1)
-        # user template per (intent, topic slot + 1); -1 where the roster has none
-        self._user_template = np.full((N_INTENTS, N_SLOTS + 1), -1, dtype=np.int64)
-        self._user_template[roster.user_intent, roster.user_topic + 1] = np.arange(roster.n_user_actions)
-
-    def step(self, actions: np.ndarray):
-        """One turn against the rule-based simulator: one agent act per live
-        row, by roster index, and the user's reply, as ``DialogEnv.step``
-        plays them. Returns per live row the user act's roster index, the
-        reward (a list of floats) and whether the dialog ended."""
-        n = len(actions)
-        at, entry = self._at[:n], self._entry[:n]
-        for j in self._answer(actions, entry):
-            s = self.s[j, OUTSTANDING:AGENT_INTENT]
-            self.pending[j] = next((p for p in REQUEST_PRIORITY if p != Slot.TICKET and s[p]), -1)
-            self._update_unprompted(j)
-        # (a slot of -1 reads some other entry; the act's kind masks it)
-        slot = self._agent_slot[actions]
-        constraint = self.in_goal[at, slot]
-        wrong = self.kb.code_table[self.first, slot] != self.goal_codes[at, slot]
-        open_request = self.s.take(entry + (OUTSTANDING + slot)) > 0
-        case = _CASES[self._agent_kind[actions], constraint.view(np.int8), wrong.view(np.int8),
-                      open_request.view(np.int8), self.unprompted]
-        if self.turn + 1 >= self._max_turns:
-            case[:] = _CAPPED
-        # A booking succeeds once every constraint is stated and every request
-        # answered. DialogEnv also checks that a record matches the goal and
-        # the answers, but they are the last answer's accepted query (or the
-        # goal that ``reset`` checked), so that always holds here.
-        booked = self._book[actions].nonzero()[0]
-        if len(booked):
-            win = (self.pending[booked] < 0) & (self.unstated[booked] < 0)
-            case[booked] = np.where(win, _WIN, _LOSE)
-            self.success[self.live[booked[win]]] = True
-        reply = _REPLIES[case]
-        sources = np.array([self._none[:n], slot, self.pending, self.unstated])
-        users = self._user_template[reply[:, 0], sources[reply[:, 1], at] + 1]
-        if users.min() < 0:
-            raise ContractViolation("the simulated user's act has no template in the roster")
-        for j, q in self._apply(actions, entry, reply[:, 0], sources[reply[:, 2], at]):
-            unstated = self._unstated_order[self.live[j]]
-            unstated.remove(q)
-            self.unstated[j] = unstated[0] if unstated else -1
-            self._update_unprompted(j)
-        return users, [self._rewards[c] for c in case.tolist()], _ENDED[case]
-
-    def step_with(self, actions: np.ndarray, users: np.ndarray) -> None:
-        """One turn of given acts, both by roster index, one per live row:
-        the agent's and then the user's, realized from the goal (an inform
-        of a goal slot states that constraint)."""
-        n = len(actions)
-        entry = self._entry[:n]
-        self._answer(actions, entry)
-        informs = self._user_informs[users]
-        told = np.where(self.in_goal[self._at[:n], informs] & (informs >= 0), informs, -1)
-        self._apply(actions, entry, self._user_intent[users], told)
-
-    def _answer(self, actions: np.ndarray, entry: np.ndarray) -> list[int]:
-        """Accept the agent informs that answer an open request with a value
-        that a record allows beside the goal and the earlier answers, as
-        ``DialogEnv._consider_answer`` does; returns the rows that did."""
-        s = self.s
-        column = self._answer_column[actions]
-        accepted = []
-        for j in (s.take(entry + column) > 0).nonzero()[0].tolist():
-            i, q = self.live[j], Slot(int(column[j]) - OUTSTANDING)
-            value = self.kb.records[self.first[j]].values[q] if self.first[j] < len(self.kb.records) else NO_MATCH
-            if self.kb.match_count({**self.goals[i].inform_slots, **self.accepted[i], q: value}) >= 1:
-                self.accepted[i][q] = value
-                s[j, OUTSTANDING + q] = 0.0
-                self._added[j] = {q: value}
-                accepted.append(j)
-        return accepted
-
-    def _apply(self, actions: np.ndarray, entry: np.ndarray, intent: np.ndarray, told: np.ndarray):
-        """Encode the turn: the agent's ``actions``, the user's ``intent`` and
-        the goal slot the user informs (-1 for none); then requery the KB for
-        the rows whose constraints changed. Returns the (row, slot) pairs of
-        the constraints stated for the first time."""
-        s = self.s
-        s[:, TURN_BUCKET + min(self.turn, MAX_TURN_BUCKETS - 1)] = 0.0
-        self.turn += 1
-        s[:, TURN_BUCKET + min(self.turn, MAX_TURN_BUCKETS - 1)] = 1.0
-        s[:, AGENT_INTENT:AGENT_INFORMED] = 0.0
-        s[:, USER_INTENT:USER_INFORMED] = 0.0
-        s.put(entry + self._intent_column[actions], 1.0)
-        s.put(entry + self._agent_column[actions], 1.0)
-        s.put(entry + (USER_INTENT + intent), 1.0)
-        self.said = told >= 0
-        informed = entry + (USER_INFORMED + told)
-        new = (self.said & (s.take(informed) == 0.0)).nonzero()[0]
-        s.put(informed[new], 1.0)
-        stated = list(zip(new.tolist(), told[new].tolist()))
-        for j, q in stated:
-            self._added.setdefault(j, {})[q] = self.goals[self.live[j]].inform_slots[q]
-        # constraints only ever grow, by slots not yet constrained, so the
-        # matches narrow to those of the added ones; the first match stays
-        # first while it still matches
-        for j, added in self._added.items():
-            i = self.live[j]
-            hits = self.hits[i] = self.kb.hits(added).intersection(self.hits[i])
-            if self.first[j] not in hits:
-                self.first[j] = min(hits) if hits else len(self.kb.records)
-            s[j, KB_BUCKET:] = 0.0
-            s[j, KB_BUCKET + min(len(hits), KB_BUCKETS - 1)] = 1.0
-        self._added = {}
-        return stated
-
-    def _update_unprompted(self, j: int) -> None:
-        """Row ``j``'s unprompted move (``DialogEnv._next_move``), less _UNPROMPTED."""
-        self.unprompted[j] = 0 if self.pending[j] >= 0 else 1 if self.unstated[j] >= 0 else 2
-
-    def drop(self, ended: np.ndarray) -> None:
-        """Remove the rows of the dialogs that ``ended``."""
-        if ended.any():
-            keep = (~ended).nonzero()[0]
-            for name in ("s", "live", "said", "first", "pending", "unstated", "unprompted", "in_goal",
-                         "goal_codes"):
-                setattr(self, name, getattr(self, name).take(keep, axis=0))
-
-
 class RuleAgent:
     """Scripted booking policy used for warm starts.
 
@@ -653,36 +422,33 @@ class RuleAgent:
     def __init__(self, roster: ActionRoster | None = None):
         roster = roster if roster is not None else default_roster()
         self.roster = roster
-        # per slot, the index of its request or inform template, -1 for none
-        self._request_idx = np.full(N_SLOTS, -1, dtype=np.int64)
-        self._inform_idx = np.full(N_SLOTS, -1, dtype=np.int64)
-        for idx, intent in ((self._request_idx, Intent.REQUEST), (self._inform_idx, Intent.INFORM)):
-            which = np.flatnonzero(roster.agent_intent == intent)
-            idx[roster.agent_topic[which]] = which
-        self.book_index = int(self._inform_idx[Slot.TASKCOMPLETE])
-        self.confirm_index = int(np.flatnonzero(roster.agent_intent == Intent.CONFIRM_QUESTION)[0])
-        self._gather = np.array(GATHER_ORDER)
-        # the open requests it answers, in the order the user asks for them
-        self._answerable = np.where((self._inform_idx >= 0) & (np.arange(N_SLOTS) != Slot.TICKET),
-                                    _PRIORITY, N_SLOTS)
+        self._request_idx = {}
+        self._inform_idx = {}
+        for i, act in enumerate(roster.agent_actions):
+            if act.intent == Intent.REQUEST:
+                self._request_idx[act.request_slots[0]] = i
+            elif act.intent == Intent.INFORM:
+                self._inform_idx[next(iter(act.inform_slots))] = i
+        self.book_index = self._inform_idx[Slot.TASKCOMPLETE]
+        self.confirm_index = next(
+            i for i, a in enumerate(roster.agent_actions) if a.intent == Intent.CONFIRM_QUESTION
+        )
 
     def act(self, state: DialogState) -> int:
-        lu = state.last_user_act
-        said = lu is not None and bool(lu.inform_slots)
-        return int(self.act_rows(encode_state(state)[None], np.array([said]))[0])
-
-    def act_rows(self, s: np.ndarray, said: np.ndarray) -> np.ndarray:
-        """The action of every row of ``s``, encoded states (``encode_state``),
-        where ``said`` tells whether the row's last user act informed a slot."""
-        gather = (s[:, USER_INFORMED + self._gather] == 0.0) & (s[:, AGENT_REQUESTED + self._gather] == 0.0)
-        answering = (s[:, AGENT_INTENT + Intent.CONFIRM_QUESTION] > 0) | (s[:, AGENT_INTENT + Intent.INFORM] > 0)
-        done_stating = s[:, USER_INTENT:USER_INFORMED].any(axis=1) & ~said
-        pending = _first_slot(s[:, OUTSTANDING:AGENT_INTENT] > 0, self._answerable)
-        return np.where(s[:, USER_INTENT + Intent.THANKS] > 0, self.book_index,
-                        np.where(gather.any(axis=1), self._request_idx[self._gather[gather.argmax(axis=1)]],
-                                 np.where(answering & done_stating,
-                                          np.where(pending >= 0, self._inform_idx[pending], self.book_index),
-                                          self.confirm_index)))
+        lu, la = state.last_user_act, state.last_agent_act
+        if lu is not None and lu.intent == Intent.THANKS:
+            return self.book_index
+        for slot in GATHER_ORDER:
+            if slot not in state.user_informs and slot not in state.agent_requested:
+                return self._request_idx[slot]
+        answering = la is not None and la.intent in (Intent.CONFIRM_QUESTION, Intent.INFORM)
+        user_done_stating = lu is not None and not lu.inform_slots
+        if answering and user_done_stating:
+            pending = [q for q in state.outstanding if q != Slot.TICKET and q in self._inform_idx]
+            if pending:
+                return self._inform_idx[pending[0]]
+            return self.book_index
+        return self.confirm_index
 
 
 def judge_success(goal: UserGoal, transcript: list[dict], kb: KnowledgeBase) -> bool:

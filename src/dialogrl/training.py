@@ -8,13 +8,11 @@ Evaluations run greedily at the four stage boundaries on the stage's own
 goal buffer.
 
 The real dialogs of an epoch, and the warm start's scripted ones, advance in
-lockstep through one loop on the array tracker that planning uses too
-(``env.BatchTracker``): each turn makes one batched Q forward (and, with
-curiosity, one batched value pass) over the dialogs still running, or one
-batched pass of the scripted agent, and then one set of numpy ops applies
-the agents' acts and the rule-based simulator's replies to every dialog.
-Each dialog is reset through its own ``DialogEnv`` first, which draws all
-of the simulator's random choices.
+lockstep through one loop: each turn makes one batched Q forward (and, with
+curiosity, one batched value pass) over the dialogs still running, while
+every dialog steps its own env against the user simulator. The env keeps
+its state's stored encoding up to date as it steps, so no state is encoded
+in full after a dialog's reset.
 
 With at least two planning rollouts per epoch and two CPUs, a Trainer forks
 one worker process at its first planning call, which plays the second half
@@ -67,7 +65,7 @@ from .domain import (
     load_goals,
     load_kb,
 )
-from .env import BatchTracker, DialogEnv, RewardConfig, RuleAgent, encode_state, stored_states
+from .env import DialogEnv, RewardConfig, RuleAgent, encode_state
 from .errors import ConfigError, make_dir, read_json
 from .nets import one_blas_thread
 from .seeding import spawn_rng
@@ -331,37 +329,45 @@ class Trainer:
         """Play ``n_dialogs`` dialogs in lockstep into the real buffer.
 
         Each dialog samples its goal and resets its own env first, in dialog
-        order. Then a ``BatchTracker`` plays them against the rule-based
-        simulator: every turn ``choose(tracker)`` picks the actions of the
-        live dialogs, one per row of ``tracker.s``, and one ``step`` answers
-        them all. The transitions are appended once the last dialog has
-        ended, one dialog after another, so each dialog's transitions stay
-        contiguous. Each state is stored once, as its own ``stored_states``
-        array: a step's next state is the very array the next step stores
-        as its state. (Rows kept as views of each turn's matrix raised the
-        peak memory of complete 300-epoch DQN runs by about 0.3 MB.)
-        Returns the tracker and each dialog's transitions, in dialog order.
+        order. Then every turn ``choose(envs, states)`` picks the actions of
+        the live dialogs from their encoded states (one row each), and each
+        live env takes its step. The transitions are appended once the last
+        dialog has ended, one dialog after another, so each dialog's
+        transitions stay contiguous. Each state is stored as an array of its
+        own, the env's ``encoding``, which each step makes anew from the last
+        one rather than encoding the state in full: a step's next state
+        is the very array the next step stores as its state, and
+        ``states`` is a stacked float64 copy (stored rows that were views of
+        a per-turn batch kept peak RSS about 1.5 % higher in complete
+        300-epoch DQN runs).
+        Returns the envs and each dialog's transitions, in dialog order.
         """
         envs = []
         for _ in range(n_dialogs):
             env = DialogEnv(self.kb, self.roster, self.rewards, rng=env_rng)
             env.reset(sample_goal(self.buffers, level, goal_rng))
             envs.append(env)
-        tracker = BatchTracker(envs)
         dialogs: list[list[Experience]] = [[] for _ in envs]
-        rows = [row.copy() for row in stored_states(tracker.s)]  # each live dialog's current state
-        while len(tracker.live):
-            actions = choose(tracker)
-            users, rewards, dones = tracker.step(actions)
-            next_rows, ended = [row.copy() for row in stored_states(tracker.s)], dones.tolist()
-            for i, exp in zip(tracker.live.tolist(), map(Experience, rows, actions.tolist(), rewards,
-                                                          users.tolist(), next_rows, ended)):
-                dialogs[i].append(exp)
-            rows = [row for row, end in zip(next_rows, ended) if not end]
-            tracker.drop(dones)
+        live = list(range(n_dialogs))
+        rows = [env.encoding for env in envs]  # each live dialog's current state
+        while live:
+            actions = choose([envs[i] for i in live], stack_rows(rows))
+            next_live, next_rows = [], []
+            for a, i, s in zip(actions, live, rows):
+                a = int(a)
+                outcome = envs[i].step(a)
+                s_next = envs[i].encoding
+                dialogs[i].append(Experience(s, a, outcome.reward,
+                                             self.roster.user_index(outcome.user_act),
+                                             s_next, outcome.done))
+                if not outcome.done:
+                    next_live.append(i)
+                    next_rows.append(s_next)
+            live, rows = next_live, next_rows
         for dialog in dialogs:
-            self.real_buffer.extend(dialog)
-        return tracker, dialogs
+            for exp in dialog:
+                self.real_buffer.append(exp)
+        return envs, dialogs
 
     def warm_start(self) -> int:
         """Scripted dialogs into the real buffer, then Q-net pretraining."""
@@ -369,7 +375,7 @@ class Trainer:
         warm = self.rngs["warm"]
         _, dialogs = self._play_real_dialogs(
             cfg.warm_start_dialogs, self.level_for_epoch(0), warm, warm,
-            lambda tracker: self.rule_agent.act_rows(tracker.s, tracker.said))
+            lambda envs, s: [self.rule_agent.act(env.state) for env in envs])
         for _ in range(cfg.warm_start_updates):
             self.agent.update(self.real_buffer, n_batches=1, rng=self.rngs["warm-train"])
         self.agent.sync_target()
@@ -378,10 +384,9 @@ class Trainer:
 
     # ---- one epoch ----------------------------------------------------------
 
-    def _select(self, tracker: BatchTracker) -> np.ndarray:
-        s = tracker.s
+    def _select(self, envs, s) -> np.ndarray:
         bonus = self.curiosity.values(s) if self.curiosity is not None else None
-        return self.agent.select_actions(s, [self.rngs["explore"]] * len(s), bonus)
+        return self.agent.select_actions(s, [self.rngs["explore"]] * len(envs), bonus)
 
     @one_blas_thread()
     def run_epoch(self, epoch: int) -> EpochReport:
@@ -393,12 +398,12 @@ class Trainer:
         stage = stage_index(epoch, cfg.epochs)
 
         ops.append("collect")
-        tracker, dialogs = self._play_real_dialogs(cfg.real_dialogs_per_epoch, level, self.rngs["goals"],
-                                                   self.rngs["env"], self._select)
+        envs, dialogs = self._play_real_dialogs(cfg.real_dialogs_per_epoch, level, self.rngs["goals"],
+                                                self.rngs["env"], self._select)
         actions = [e.a for dialog in dialogs for e in dialog]
         counts = np.bincount(actions, minlength=self.roster.n_agent_actions)
         new_real = len(actions)
-        wins = int(tracker.success.sum())
+        wins = sum(1 for env in envs if env.success)
         episode_rewards = [sum(e.r for e in dialog) for dialog in dialogs]
 
         n_batches = max(1, math.ceil(new_real / 16))
@@ -413,11 +418,11 @@ class Trainer:
                 ops.append("world")
                 world_loss = self.world_model.train(self.real_buffer, n_batches, self.rngs["world"])
                 ops.append("plan")
-                per_round = (cfg.real_dialogs_per_epoch if cfg.planning_dialogs_per_round is None
-                             else cfg.planning_dialogs_per_round)
-                new_sim = plan(partial(self._play_round, level), cfg.planning_rounds, per_round,
+                dialogs = (cfg.real_dialogs_per_epoch if cfg.planning_dialogs_per_round is None
+                           else cfg.planning_dialogs_per_round)
+                new_sim = plan(partial(self._play_round, level), cfg.planning_rounds, dialogs,
                                self.sim_buffer, self.rngs["plan"],
-                               worker=self._plan_worker(level, cfg.planning_rounds * per_round))
+                               worker=self._plan_worker(level, cfg.planning_rounds * dialogs))
             if self.curiosity is not None:
                 finish_curiosity = self._train_curiosity(max(1, math.ceil((new_real + new_sim) / 16)))
             if new_sim:
@@ -431,7 +436,7 @@ class Trainer:
             self.close()  # the worker may be mid-job: kill it
             raise
         if self.curiosity is not None and log.isEnabledFor(logging.DEBUG):
-            mean_c = float(np.mean(self.curiosity.values(stack_rows([dialogs[-1][-1].s_next]))))
+            mean_c = float(np.mean(self.curiosity.values(encode_state(envs[-1].state))))
             log.debug("epoch %d: mean curiosity %.4f", epoch, mean_c)
 
         ops.append("sync")

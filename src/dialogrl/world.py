@@ -8,8 +8,7 @@ the reward, and the episode end from the model instead of the simulator.
 The rollouts of one ``play_round`` batch advance in lockstep: each turn
 runs one batched forward of the Q-net, the curiosity value head and the
 world model over the rollouts still running, and updates their tracker
-state with one set of numpy ops, on the ``env.BatchTracker`` that real
-dialogs are played on too.
+state, kept as arrays, with one set of numpy ops.
 Each rollout draws its goal, its first user act and its epsilon-greedy
 choices from its own rng stream, seeded from draws on the planning rng, so
 one rollout's draws do not depend on when the others end.
@@ -57,8 +56,10 @@ from collections.abc import Iterator
 import numpy as np
 
 from .agent import DqnAgent, Experience, ReplayBuffer, minibatch_rows, stack_rows, train_on_replay
-from .domain import ActionRoster, KnowledgeBase
-from .env import BatchTracker, DialogEnv, RewardConfig, stored_states
+from .domain import ActionRoster, Intent, KnowledgeBase, Slot
+from .env import (AGENT_INFORMED, AGENT_INTENT, AGENT_REQUESTED, KB_BUCKET, KB_BUCKETS, MAX_TURN_BUCKETS,
+                  N_SLOTS, OUTSTANDING, TURN_BUCKET, USER_INFORMED, USER_INTENT, DialogEnv, RewardConfig,
+                  stored_states)
 from .errors import ContractViolation, ShapeError
 from .nets import HeadSpec, LayerSpec, MlpModel, MlpSpec, TrainBatch, mlp_new
 
@@ -142,11 +143,14 @@ def play_round(agent: DqnAgent, curiosity, world_model: WorldModel, goal_sampler
     """One batch of planning rollouts: one per seed, advancing in lockstep.
 
     Each rollout is reset through its own ``DialogEnv``, which draws its goal
-    and the simulator's first user act. From then on the tracker state of
-    the live rollouts is kept in arrays by an ``env.BatchTracker``, the one
-    that also plays real dialogs: each turn applies the agents' acts and
-    then the world model's user acts to every row with one set of numpy ops
-    (a user inform of a goal slot adds that constraint).
+    and the simulator's first user act and encodes the first state. From
+    then on the tracker state of the live rollouts is kept in arrays: each
+    turn copies their encoding matrix and updates every row with the same
+    few numpy ops, the tracker rules of ``DialogEnv.apply_agent_act`` plus
+    the world model's user act (realized from the goal, so a user inform of
+    a goal slot adds that constraint). Per-rollout Python runs only for
+    agent informs that answer an outstanding request and for rows whose KB
+    constraints change.
 
     Yields the batch as blocks: first the first turn's state matrix, one
     row per seed, then per turn ``(s_next, actions, rewards, user_acts,
@@ -160,26 +164,71 @@ def play_round(agent: DqnAgent, curiosity, world_model: WorldModel, goal_sampler
     rounds first raised the peak memory of the benchmark's ``scddq_emd``
     by about 0.9 MB.
     """
+    agent_intent, agent_column, answers, user_intent, user_informs = _act_tables(roster)
     rngs = [np.random.default_rng(int(seed)) for seed in seeds]
-    envs = []
+    goals, hits, rows = [], [], []
     for r in rngs:
         env = DialogEnv(kb, roster, rewards, rng=r)
         env.reset(goal_sampler(r))
-        envs.append(env)
-    tracker = BatchTracker(envs)
-    yield stored_states(tracker.s)
-    while len(tracker.live):
-        s = tracker.s
+        goals.append(env.goal.inform_slots)
+        hits.append(env.kb_hits)
+        rows.append(env.encoding)
+    accepted = [{} for _ in rngs]
+    first = np.stack(rows)  # the stored encodings, each made once by its reset
+    yield first
+    s = first.astype(np.float64)
+    live = np.arange(len(rngs))  # each live row's rollout
+    in_goal = np.zeros((len(rngs), N_SLOTS), dtype=bool)
+    for i, goal in enumerate(goals):
+        in_goal[i, list(goal)] = True
+    turn = 0  # every live rollout's, as they advance together
+    while len(live):
         bonus = curiosity.values(s) if curiosity is not None else None
         actions = agent.select_actions(s, rngs, bonus)
         probs, reward, p_done = world_model.predict(s, actions)
+        at = np.arange(len(live))
+        s_next = s.copy()
+        # the agent's act
+        s_next[:, TURN_BUCKET + min(turn, MAX_TURN_BUCKETS - 1)] = 0.0
+        turn += 1
+        s_next[:, TURN_BUCKET + min(turn, MAX_TURN_BUCKETS - 1)] = 1.0
+        s_next[:, AGENT_INTENT:AGENT_INFORMED] = 0.0
+        s_next[at, AGENT_INTENT + agent_intent[actions]] = 1.0
+        column = agent_column[actions]
+        some = column >= 0
+        s_next[at[some], column[some]] = 1.0
+        slot = answers[actions]
+        changed = []
+        # (a slot of -1 reads some other column; the mask drops it)
+        for j in np.flatnonzero((slot >= 0) & (s[at, OUTSTANDING + slot] > 0)).tolist():
+            i, q = live[j], Slot(int(slot[j]))
+            value = kb.records[min(hits[i])].values[q] if hits[i] else "no match available"
+            if kb.match_count({**goals[i], **accepted[i], q: value}) >= 1:
+                accepted[i][q] = value
+                s_next[j, OUTSTANDING + q] = 0.0
+                changed.append(j)
+        # the world model's user act
         user = probs.argmax(axis=1)
-        tracker.step_with(actions, user)
-        done = p_done > TERMINATION_THRESHOLD if tracker.turn < rewards.max_turns else np.ones(len(s), dtype=bool)
-        yield stored_states(tracker.s), actions, reward, user, done
+        s_next[:, USER_INTENT:USER_INFORMED] = 0.0
+        s_next[at, USER_INTENT + user_intent[user]] = 1.0
+        slot = user_informs[user]
+        told = np.flatnonzero((slot >= 0) & in_goal[at, slot] & (s_next[at, USER_INFORMED + slot] == 0.0))
+        s_next[told, USER_INFORMED + slot[told]] = 1.0
+        for j in set(changed).union(told.tolist()):
+            i = live[j]
+            constraints = {q: v for q, v in goals[i].items() if s_next[j, USER_INFORMED + q]}
+            hits[i] = kb.hits({**constraints, **accepted[i]})
+            s_next[j, KB_BUCKET:] = 0.0
+            s_next[j, KB_BUCKET + min(len(hits[i]), KB_BUCKETS - 1)] = 1.0
+
+        done = p_done > TERMINATION_THRESHOLD if turn < rewards.max_turns else np.ones(len(live), dtype=bool)
+        yield stored_states(s_next), actions, reward, user, done
         if done.any():
-            rngs = [rngs[j] for j in np.flatnonzero(~done)]
-            tracker.drop(done)
+            alive = np.flatnonzero(~done)
+            s, in_goal, live = s_next[alive], in_goal[alive], live[alive]
+            rngs = [rngs[j] for j in alive]
+        else:
+            s = s_next
 
 
 def experiences(blocks) -> Iterator[Experience]:
@@ -198,6 +247,30 @@ def experiences(blocks) -> Iterator[Experience]:
         yield from map(Experience, rows, actions.tolist(), rewards.tolist(), user_acts.tolist(),
                        next_rows, dones)
         rows = [row for row, done in zip(next_rows, dones) if not done]
+
+
+def _act_tables(roster: ActionRoster):
+    """Per agent template: its intent, the encoding column its request or
+    inform sets and the slot an inform of it may answer (-1 for none). Per
+    user template: its intent and the slot it informs (-1 for none)."""
+    agent_intent, agent_column, answers = [], [], []
+    for act in roster.agent_actions:
+        agent_intent.append(int(act.intent))
+        column = answer = -1
+        if act.intent == Intent.REQUEST:
+            column = AGENT_REQUESTED + act.request_slots[0]
+        elif act.intent == Intent.INFORM:
+            slot = next(iter(act.inform_slots))
+            column = AGENT_INFORMED + slot
+            if slot not in (Slot.TASKCOMPLETE, Slot.TICKET):
+                answer = int(slot)
+        agent_column.append(column)
+        answers.append(answer)
+    user_intent = [int(act.intent) for act in roster.user_actions]
+    user_informs = [int(next(iter(act.inform_slots))) if act.intent == Intent.INFORM else -1
+                    for act in roster.user_actions]
+    return tuple(np.array(x, dtype=np.int64) for x in (agent_intent, agent_column, answers,
+                                                        user_intent, user_informs))
 
 
 def plan(play, rounds: int, dialogs_per_round: int, sim_buffer: ReplayBuffer,

@@ -443,3 +443,20 @@ def test_deny_then_recovery(kb):
     env.apply_agent_act(good)
     assert Slot.STARTTIME not in state.outstanding
     assert state.accepted[Slot.STARTTIME] == rec.values[Slot.STARTTIME]
+
+
+def test_refused_answer_hints_an_unstated_constraint(kb):
+    # An answer to an open request that no record allows beside the
+    # constraints is denied, and the denial states the first goal constraint
+    # the user has not stated yet (none once every one is stated).
+    goal, rec = make_goal_from_record(kb, [Slot.MOVIENAME, Slot.PRICE, Slot.CITY], [Slot.TICKET, Slot.STARTTIME])
+    hinted = 0
+    for seed in range(20):
+        env = DialogEnv(kb, rng=seed)
+        state, _ = env.reset(goal)
+        unstated = [s for s in goal.inform_slots if s not in state.user_informs]
+        out = env.step_act(DialogAct(Intent.INFORM, {Slot.STARTTIME: "3:33am"}))  # not in any record
+        assert out.user_act.intent == Intent.DENY and Slot.STARTTIME in state.outstanding
+        assert out.user_act.inform_slots == ({unstated[0]: goal.inform_slots[unstated[0]]} if unstated else {})
+        hinted += bool(unstated)
+    assert 0 < hinted < 20

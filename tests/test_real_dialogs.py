@@ -1,6 +1,9 @@
-"""The array tracker's real dialogs against ``DialogEnv``, the one-dialog
-oracle: the same goals, first user acts and agent actions must give the
-same experiences, to the byte, and the same outcomes."""
+"""Lockstep real dialogs against ``DialogEnv`` stepped one dialog at a time:
+the same goals, first user acts and agent actions must give the same
+experiences, to the byte, and the same outcomes. The lockstep loop stores
+each env's ``encoding``, updated in place turn by turn; the reference
+encodes every state in full with ``encode_state``, and checks the
+env's narrowed KB matches against a query of all its constraints."""
 
 from collections import Counter
 
@@ -8,8 +11,8 @@ import numpy as np
 import pytest
 
 from dialogrl.curriculum import LEVELS, sample_goal
-from dialogrl.domain import (DEFAULT_GOAL_COUNTS, INFORMABLE_SLOTS, NO_MATCH, Intent, KnowledgeBase, Slot,
-                             default_roster, generate_goal_set, generate_kb)
+from dialogrl.domain import (DEFAULT_GOAL_COUNTS, INFORMABLE_SLOTS, Intent, KnowledgeBase, Slot, default_roster,
+                             generate_goal_set, generate_kb)
 from dialogrl.env import DialogEnv, RuleAgent, encode_state, stored_states
 from dialogrl.training import RunConfig, Trainer
 
@@ -17,6 +20,7 @@ ROSTER = default_roster()
 INFORMS = np.array([i for i, act in enumerate(ROSTER.agent_actions)
                     if act.intent == Intent.INFORM and Slot.TASKCOMPLETE not in act.inform_slots])
 BOOK = RuleAgent(ROSTER).book_index
+NO_MATCH = "no match available"
 assert len(INFORMS) == len(INFORMABLE_SLOTS)
 
 # Each dialog's policy: uniformly random actions, the scripted agent,
@@ -49,15 +53,21 @@ def worlds():
 def policy(rng, modes):
     """``Trainer._play_real_dialogs``'s ``choose``: each dialog's actions by its mode."""
     rule = RuleAgent(ROSTER)
+    index = {}  # each env's dialog, from the first turn, where every dialog is live
 
-    def choose(tracker):
-        n = len(tracker.live)
-        mode = modes[tracker.live]
-        mode = np.where(mode == MIXED, rng.integers(3, size=n), mode)
-        k = tracker.turn + tracker.live
-        inform_all = np.where(k < len(INFORMS), INFORMS[k % len(INFORMS)], BOOK)
-        picks = [rng.integers(ROSTER.n_agent_actions, size=n), rule.act_rows(tracker.s, tracker.said), inform_all]
-        return np.choose(mode, picks)
+    def choose(envs, s):
+        assert s.shape == (len(envs), len(encode_state(envs[0].state)))
+        if not index:
+            index.update((id(env), i) for i, env in enumerate(envs))
+        picks = []
+        for env in envs:
+            i = index[id(env)]
+            mode = modes[i] if modes[i] != MIXED else int(rng.integers(3))
+            k = env.state.turn + i
+            picks.append(int(rng.integers(ROSTER.n_agent_actions)) if mode == RANDOM
+                         else rule.act(env.state) if mode == RULE
+                         else int(INFORMS[k % len(INFORMS)]) if k < len(INFORMS) else BOOK)
+        return picks
 
     return choose
 
@@ -66,9 +76,10 @@ def fields(e):
     return (e.s.tobytes(), e.a, e.r, e.a_user, e.s_next.tobytes(), e.done)
 
 
-def replay(kb, rewards, goal, rng, steps, seen, rule_agent):
+def replay(kb, rewards, goal, rng, steps, seen):
     """Play ``goal`` on a DialogEnv reset from ``rng`` with the actions of
-    ``steps``; returns its experiences, its success and its final encoding."""
+    ``steps``, encoding each state in full; returns its experiences,
+    its success and its final encoding."""
     env = DialogEnv(kb, ROSTER, rewards, rng=rng)
     state, _ = env.reset(goal)
     exps = []
@@ -76,13 +87,13 @@ def replay(kb, rewards, goal, rng, steps, seen, rule_agent):
         s = stored_states(encode_state(state))
         act = env.realize_agent_action(e.a)
         before = len(state.accepted)
-        rule_agrees = rule_agent.act(state) == e.a
         out = env.step(e.a)
         exps.append((s.tobytes(), e.a, out.reward, ROSTER.user_index(out.user_act),
                      stored_states(encode_state(state)).tobytes(), out.done))
+        # the env narrows its matches as constraints come; a query of them all agrees
+        assert set(env.kb_hits) == set(kb.hits({**state.user_informs, **state.accepted}))
         seen["accepted"] += len(state.accepted) - before
         seen["no match"] += NO_MATCH in act.inform_slots.values()
-        seen["rule agrees"] += rule_agrees
         seen[out.user_act.intent.label] += 1
         if out.user_act.intent == Intent.DENY and not out.done:  # a wrong constraint, or a refused answer
             seen["restated" if next(iter(act.inform_slots)) in goal.inform_slots else "refused"] += 1
@@ -93,7 +104,7 @@ def replay(kb, rewards, goal, rng, steps, seen, rule_agent):
 
 
 @pytest.mark.parametrize("world", [0, 1])
-def test_tracker_dialogs_match_dialog_env(worlds, world):
+def test_lockstep_dialogs_match_dialog_env(worlds, world):
     kb, goals = worlds[world]
     seen = Counter()
     for seed in range(24):
@@ -104,24 +115,23 @@ def test_tracker_dialogs_match_dialog_env(worlds, world):
         n = 1 + seed % 12
         rng = np.random.default_rng([seed, world])
         modes = rng.integers(4, size=n)
-        tracker, dialogs = tr._play_real_dialogs(n, level, np.random.default_rng([seed, 1]),
-                                                 np.random.default_rng([seed, 2]), policy(rng, modes))
+        envs, dialogs = tr._play_real_dialogs(n, level, np.random.default_rng([seed, 1]),
+                                              np.random.default_rng([seed, 2]), policy(rng, modes))
 
         goal_rng, env_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 2])
-        assert len(tracker.goals) == len(dialogs) == n
+        assert len(envs) == len(dialogs) == n
         assert list(tr.real_buffer) == [e for steps in dialogs for e in steps]
-        for i, steps in enumerate(dialogs):
+        for env, steps in zip(envs, dialogs):
             goal = sample_goal(tr.buffers, level, goal_rng)
-            assert tracker.goals[i] is goal
-            want, success, final = replay(kb, tr.rewards, goal, env_rng, steps, seen, tr.rule_agent)
+            assert env.goal is goal
+            want, success, final = replay(kb, tr.rewards, goal, env_rng, steps, seen)
             assert [fields(e) for e in steps] == want
             assert all([type(x) for x in fields(e)] == [bytes, int, float, int, bytes, bool] for e in steps)
-            assert bool(tracker.success[i]) == success
-            assert steps[-1].s_next.tobytes() == final.tobytes() and steps[-1].done
+            assert env.success == success
+            assert steps[-1].s_next.tobytes() == final.tobytes() == env.encoding.tobytes() and steps[-1].done
             assert all(prev.s_next is nxt.s for prev, nxt in zip(steps, steps[1:]))
-            seen["rule steps"] += len(steps) * (modes[i] == RULE)
-    assert seen["rule agrees"] >= seen["rule steps"] > 0  # the scripted agent decides from the arrays as from the state
-    paths = ["accepted", "restated", "success", "failure", "capped", "not_sure", "thanks", "request", "inform"]
+        seen["rule dialogs"] += int((modes == RULE).sum())
+    paths = ["rule dialogs", "accepted", "restated", "success", "failure", "capped", "not_sure", "thanks",
+             "request", "inform"]
     paths.append("no match" if world else "refused")  # the small KB refuses no answer
     assert min(seen[p] for p in paths) > 0, seen
-

@@ -154,58 +154,43 @@ def test_warm_start_bounds_and_determinism(data):
     assert snapshots[0] == snapshots[1]
 
 
-def reference_encodings(tr, goals, env_rng, dialogs):
-    """Per dialog, the stored encodings of a DialogEnv reset on its goal from
-    ``env_rng``, in dialog order, and stepped with its actions: the state
-    before each step, then the final one."""
-    from dialogrl.env import DialogEnv
-
-    out = []
-    for goal, steps in zip(goals, dialogs):
-        env = DialogEnv(tr.kb, tr.roster, tr.rewards, rng=env_rng)
-        env.reset(goal)
-        states = [stored_states(encode_state(env.state)).tobytes()]
-        for e in steps:
-            env.step(e.a)
-            states.append(stored_states(encode_state(env.state)).tobytes())
-        out.append(states)
-    return out
-
-
 def test_real_dialog_encodes_each_state_once(data, monkeypatch):
     # A step's next state is the very array the next step stores as its
-    # state, every stored state is the encoding a DialogEnv playing the same
-    # dialog has at that turn, and the loop encodes each dialog's state once,
-    # at its reset: the tracker updates it in place from then on.
-    import dialogrl.env as env
+    # state, every stored state is the tracker's encoding at that turn, and
+    # each dialog's state is encoded in full once, at its reset: its
+    # env updates the encoding in place from then on.
+    import dialogrl.env as env_module
 
     kb, goals = data
     tr = Trainer(tiny_config(method="DQN", schedule="RANDOM"), kb, goals)
-    real_encode = env.encode_state
+    real_encode = env_module.encode_state
     encodings = []
-    monkeypatch.setattr(env, "encode_state", lambda state: encodings.append(1) or real_encode(state))
-    seen = []  # the state rows each turn chose from
+    monkeypatch.setattr(env_module, "encode_state",
+                        lambda state: encodings.append(1) or real_encode(state))
+    seen = {}
 
-    def choose(tracker):
-        assert tracker.s.shape == (len(tracker.live), 129)
-        seen.append(dict(zip(tracker.live.tolist(), tracker.s.copy())))
-        picks = tr.rule_agent.act_rows(tracker.s, tracker.said)
-        explore = tr.rngs["explore"].integers(29, size=len(picks))
-        return np.where((tracker.live + tracker.turn) % 3 == 0, explore, picks)
+    def choose(envs, s):
+        assert s.shape == (len(envs), 129)
+        picks = []
+        for env, row in zip(envs, s):
+            assert np.array_equal(row, real_encode(env.state))
+            seen.setdefault(id(env), []).append(row.copy())
+            n = sum(len(rows) for rows in seen.values())
+            picks.append(tr.rule_agent.act(env.state) if n % 3 else int(tr.rngs["explore"].integers(29)))
+        return picks
 
-    tracker, dialogs = tr._play_real_dialogs(6, "all", tr.rngs["goals"], tr.rngs["env"], choose)
+    envs, dialogs = tr._play_real_dialogs(6, "all", tr.rngs["goals"], tr.rngs["env"], choose)
     n_steps = sum(len(steps) for steps in dialogs)
-    assert len(tr.real_buffer) == n_steps and len(encodings) == len(dialogs) == 6
-    monkeypatch.undo()
-    want = reference_encodings(tr, tracker.goals, spawn_rng(5, "env"), dialogs)
+    assert len(tr.real_buffer) == n_steps and len(encodings) == len(envs)
     start = 0
-    for i, steps in enumerate(dialogs):
+    for env, steps in zip(envs, dialogs):
         assert all(tr.real_buffer[start + k] is e for k, e in enumerate(steps))
         assert steps[-1].done and all(not e.done for e in steps[:-1])
         for prev, nxt in zip(steps, steps[1:]):
             assert prev.s_next is nxt.s
-        assert [e.s.tobytes() for e in steps] + [steps[-1].s_next.tobytes()] == want[i]
-        assert [np.array_equal(e.s, turn[i]) for e, turn in zip(steps, seen)] == [True] * len(steps)
+        assert np.array_equal(steps[-1].s_next, real_encode(env.state))
+        assert len(seen[id(env)]) == len(steps)
+        assert all(np.array_equal(e.s, row) for e, row in zip(steps, seen[id(env)]))
         start += len(steps)
 
 
@@ -264,17 +249,16 @@ def test_real_dialogs_contiguous_in_dialog_order(data):
     real_play = tr._play_real_dialogs
     tr._play_real_dialogs = lambda *args: played.append(real_play(*args)) or played[-1]
     rep = tr.run_epoch(0)
-    (tracker, dialogs), = played
+    (envs, dialogs), = played
     buffers, goal_rng = build_buffers(goals), spawn_rng(cfg.seed, "goals")
-    assert all(goal is sample_goal(buffers, rep.level, goal_rng) for goal in tracker.goals)
+    assert all(env.goal is sample_goal(buffers, rep.level, goal_rng) for env in envs)
     assert len({len(steps) for steps in dialogs}) > 1  # dialogs end on different turns
     n = sum(len(steps) for steps in dialogs)
     newest = [tr.real_buffer[i] for i in range(len(tr.real_buffer) - n, len(tr.real_buffer))]
     assert all(a is b for a, b in zip(newest, (e for steps in dialogs for e in steps)))
-    want = reference_encodings(tr, tracker.goals, spawn_rng(cfg.seed, "env"), dialogs)
-    for steps, states in zip(dialogs, want):
+    for env, steps in zip(envs, dialogs):
         assert [e.done for e in steps] == [False] * (len(steps) - 1) + [True]
-        assert steps[-1].s_next.tobytes() == states[-1]
+        assert np.array_equal(steps[-1].s_next, encode_state(env.state))
 
 
 @pytest.mark.parametrize("method, schedule", [("DQN", "RANDOM"), ("SC-DDQ", "EMD")])
@@ -301,7 +285,7 @@ def test_epoch_report_matches_newest_transitions(data):
     tr.warm_start()
     for epoch in range(3):
         if epoch == 2:
-            tr._select = lambda tracker: tr.rule_agent.act_rows(tracker.s, tracker.said)
+            tr._select = lambda envs, s: [tr.rule_agent.act(env.state) for env in envs]
         rep = tr.run_epoch(epoch)
         n = int(rep.action_counts.sum())
         newest = [tr.real_buffer[i] for i in range(len(tr.real_buffer) - n, len(tr.real_buffer))]
