@@ -51,18 +51,23 @@ EXIT_NUMERIC = 3
 
 def _parse_goal_counts(text: str) -> dict[int, int]:
     counts = {}
-    try:
-        for part in text.split(","):
-            k, v = part.split(":")
-            counts[int(k)] = int(v)
-    except ValueError:
-        raise ConfigError(f"goals-spec: expected 'k:n,k:n,...', got {text!r}")
+    for part in text.split(","):
+        try:
+            k, v = (int(x) for x in part.split(":"))
+        except ValueError:
+            raise ConfigError(f"goals-spec: expected 'k:n,k:n,...', got {text!r}") from None
+        if k in counts:
+            raise ConfigError(f"goals-spec: request-slot count {k} is given twice in {text!r}")
+        counts[k] = v
     return counts
 
 
 def cmd_gen_data(args) -> int:
     if args.movies < 1:
         print("error: --movies must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
         return EXIT_USAGE
     counts = _parse_goal_counts(args.goals_spec)
     out = make_dir(args.out_dir, ConfigError, "out-dir")

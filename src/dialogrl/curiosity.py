@@ -7,14 +7,20 @@ selection to bias the agent toward states it cannot yet predict. There is
 no inverse model: the state encoding is already action-driven, so the
 prediction target is the raw encoding itself.
 
+The net is float32 (``nets.MlpModel``'s ``dtype``): its weights, RMSProp
+state, value pass and training steps. The Q-values the bonus is added to
+stay float64, so ``values`` returns float64. On a 2-core Xeon with OpenBLAS
+0.3.31 and one BLAS thread, float32 took the value pass over 30 states from
+a median 1.36 ms to 0.65 ms in 4-state blocks, and over 75 states from
+4.12 ms to 1.66 ms (block-size sweep in BENCH_float32_curiosity.json).
+
 The value pass runs over blocks of VALUE_BLOCK_STATES states (116 rows at
-29 actions). On a 2-core Xeon with OpenBLAS 0.3.31, 30 states took a median
-2.5 ms as one 870-row batch and 1.5 ms in 4-state blocks (block-size sweep
-in BENCH_flat_training.json): larger products fall out of cache, and
-OpenBLAS threads them at a loss. There, blocks of 4 or 8 states (row
-counts that are multiples of 4) gave the values of one whole batch to the
-bit for every batch of 1 to 40 states; blocks of 1, 2, 3, 5 or 6 states
-differed in the last bits.
+29 actions). In the same sweep, 75 states took 1.55-1.66 ms in blocks of 4
+or 8 states and 2.82 ms as one batch, and 30 states 0.62-0.65 ms against
+1.01 ms: larger products fall out of cache. Blocks of 4, 8 or 16 states
+(row counts that are multiples of 4) gave the values of one whole batch to
+the bit for every batch of 1 to 40 states; blocks of 1, 2, 3, 5 or 6
+states differed in the last bits.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ class CuriosityModel:
         self.state_dim = state_dim
         self.n_agent_actions = n_agent_actions
         self.learning_rate = learning_rate
-        self.net = mlp_new(curiosity_spec(state_dim, n_agent_actions, hidden), seed=seed)
+        self.net = mlp_new(curiosity_spec(state_dim, n_agent_actions, hidden), seed=seed, dtype=np.float32)
 
     def values(self, states) -> np.ndarray:
         """Curiosity value of every action in each state, clamped at zero.
@@ -66,7 +72,7 @@ class CuriosityModel:
         ``s @ W1[:d] + b1 + W1[d + a]``, so the one-hot (state, action)
         inputs are never built.
         """
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        states = np.atleast_2d(np.asarray(states, dtype=self.net.theta.dtype))
         n, d, k = states.shape[0], self.state_dim, self.n_agent_actions
         if states.shape != (n, d):
             raise ShapeError(f"expected states of width {d}, got {states.shape}")
@@ -106,12 +112,17 @@ class CuriosityModel:
                                              self.learning_rate, self._minibatches)))
 
     def _minibatches(self, exps: list[Experience]):
+        # Inputs and next-state targets are cast to the net's dtype once per
+        # gathered chunk (exactly: they are 0/1). The value target is the
+        # squared error of the float32 prediction, summed in float64.
+        dtype = self.net.theta.dtype
         x = encode_inputs(stack_rows([e.s for e in exps]), [e.a for e in exps], self.n_agent_actions)
+        x = x.astype(dtype)
         next_states = stack_rows([e.s_next for e in exps])
+        targets = next_states.astype(dtype)
         for rows in minibatch_rows(len(exps)):
-            target = next_states[rows]
             yield TrainBatch(x[rows], {
-                "next_state": target,
-                "value": lambda out, target=target: ((target - out["next_state"]) ** 2).sum(
+                "next_state": targets[rows],
+                "value": lambda out, target=next_states[rows]: ((target - out["next_state"]) ** 2).sum(
                     axis=1, keepdims=True),
             })

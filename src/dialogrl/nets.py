@@ -2,8 +2,12 @@
 
 Supports tanh/linear/softmax/sigmoid layers, per-head mse / cross-entropy /
 binary cross-entropy losses with optional element masks, RMSProp updates,
-and a versioned JSON checkpoint format. Everything is float64 so gradient
-checks against finite differences are meaningful.
+and a versioned JSON checkpoint format. A net computes in one dtype, float64
+unless built with another, so gradient checks against finite differences
+are meaningful by default: its parameters, RMSProp state and scratch
+vectors are of that dtype, and inputs, targets and masks are cast to it.
+Initial weights are drawn in float64 from the seeded rng, then cast. Only
+the curiosity model's net is float32 (see curiosity.py).
 
 All parameters live in one flat vector ``theta`` and all RMSProp
 accumulators in one flat vector ``acc``, both in parameter order (shared
@@ -185,18 +189,18 @@ def _activation_grad_from_output(a, kind):
 class MlpModel:
     """Parameters plus RMSProp state for one MlpSpec."""
 
-    def __init__(self, spec: MlpSpec, seed: int = 0):
+    def __init__(self, spec: MlpSpec, seed: int = 0, dtype=np.float64):
         spec.validate()
         self.spec = spec
         self.step_count = 0
         size = sum((l.input_dim + 1) * l.output_dim for l in self._layers())
-        self.theta = np.empty(size)
-        self.acc = np.zeros(size)
+        self.theta = np.empty(size, dtype=dtype)
+        self.acc = np.zeros(size, dtype=dtype)
         self._bind_views()
         rng = np.random.default_rng(seed)
         for w, b in self._layer_views(self.theta):
             bound = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
-            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            w[...] = rng.uniform(-bound, bound, size=w.shape)  # drawn in float64 whatever the dtype
             b[...] = 0.0
 
     # ---- flat storage -------------------------------------------------------
@@ -246,7 +250,7 @@ class MlpModel:
     # ---- forward ----------------------------------------------------------
 
     def _check_input(self, x):
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.theta.dtype)
         if x.ndim == 1:
             x = x[None, :]
         if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
@@ -269,7 +273,7 @@ class MlpModel:
         For callers that compute the first layer's affine map themselves
         (``CuriosityModel.values`` factors it per action); needs a trunk.
         """
-        trunk = _apply_activation(np.asarray(z1, dtype=np.float64), self.spec.shared[0].activation)
+        trunk = _apply_activation(np.asarray(z1, dtype=self.theta.dtype), self.spec.shared[0].activation)
         trunk, _ = self._run_stack(trunk, self.spec.shared[1:], self.shared_params[1:])
         layers = next(h.layers for h in self.spec.heads if h.name == head)
         y, _ = self._run_stack(trunk, layers, self.head_params[head])
@@ -341,7 +345,7 @@ class MlpModel:
             target = batch.targets[head.name]
             if callable(target):
                 target = target(outputs)
-            target = np.asarray(target, dtype=np.float64)
+            target = np.asarray(target, dtype=self.theta.dtype)
             if target.ndim == 1:
                 target = target[None, :] if n == 1 and target.shape[0] != n else target[:, None]
             if target.shape != y.shape:
@@ -350,7 +354,7 @@ class MlpModel:
                 )
             mask = batch.masks.get(head.name)
             if mask is not None:
-                mask = np.asarray(mask, dtype=np.float64).reshape(target.shape)
+                mask = np.asarray(mask, dtype=self.theta.dtype).reshape(target.shape)
             loss, dz = self._head_loss(head, y, acts, target, mask, n)
             total_loss += loss
             if not want_grads:
@@ -433,7 +437,7 @@ class MlpModel:
         self.theta[:] = other.theta
 
     def clone(self) -> "MlpModel":
-        twin = MlpModel(self.spec, seed=0)
+        twin = MlpModel(self.spec, seed=0, dtype=self.theta.dtype)
         twin.copy_parameters_from(self)
         twin.step_count = self.step_count
         return twin
@@ -551,8 +555,8 @@ def one_blas_thread():
         set_(before)
 
 
-def mlp_new(spec: MlpSpec, seed: int = 0) -> MlpModel:
-    return MlpModel(spec, seed=seed)
+def mlp_new(spec: MlpSpec, seed: int = 0, dtype=np.float64) -> MlpModel:
+    return MlpModel(spec, seed=seed, dtype=dtype)
 
 
 def numerical_gradient(model: MlpModel, batch: TrainBatch, h: float = 1e-5) -> np.ndarray:

@@ -31,10 +31,12 @@ inside an epoch, keeps one thread.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import logging
 import math
+import time
 import weakref
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -304,6 +306,7 @@ class Trainer:
         self.stage_action_counts = {k: np.zeros(self.roster.n_agent_actions, dtype=np.int64)
                                     for k in (1, 2, 3, 4)}
         self.epoch_ops: list[list[str]] = []  # per-epoch call order, for auditing
+        self.epoch_times: list[dict[str, float]] = []  # per-epoch wall seconds (``run_epoch``)
         self.epoch_reports: list[EpochReport] = []
         self.eval_reports: list[EvalReport] = []
         self._warm_started = False
@@ -390,16 +393,27 @@ class Trainer:
 
     @one_blas_thread()
     def run_epoch(self, epoch: int) -> EpochReport:
+        """One epoch of the method. Appends its op names, in call order, to
+        ``epoch_ops``, and to ``epoch_times`` the wall seconds of each op,
+        of the whole epoch (``total``) and, when the planning worker trains
+        the curiosity net, of the part of ``curiosity`` spent waiting for it
+        (``curiosity_wait``)."""
         if not self._warm_started:
             raise ConfigError("run_epoch called before warm_start")
+        started = time.perf_counter()
         cfg = self.config
-        ops = []
+        ops, times = [], {}
+
+        def op(name):  # a listed op: its name in call order, its time in ``times``
+            ops.append(name)
+            return _timed(times, name)
+
         level = self.level_for_epoch(epoch)
         stage = stage_index(epoch, cfg.epochs)
 
-        ops.append("collect")
-        envs, dialogs = self._play_real_dialogs(cfg.real_dialogs_per_epoch, level, self.rngs["goals"],
-                                                self.rngs["env"], self._select)
+        with op("collect"):
+            envs, dialogs = self._play_real_dialogs(cfg.real_dialogs_per_epoch, level, self.rngs["goals"],
+                                                    self.rngs["env"], self._select)
         actions = [e.a for dialog in dialogs for e in dialog]
         counts = np.bincount(actions, minlength=self.roster.n_agent_actions)
         new_real = len(actions)
@@ -407,31 +421,33 @@ class Trainer:
         episode_rewards = [sum(e.r for e in dialog) for dialog in dialogs]
 
         n_batches = max(1, math.ceil(new_real / 16))
-        ops.append("dqn_real")
-        dqn_loss = self.agent.update(self.real_buffer, n_batches, self.rngs["dqn-real"])
+        with op("dqn_real"):
+            dqn_loss = self.agent.update(self.real_buffer, n_batches, self.rngs["dqn-real"])
 
         world_loss = None
         new_sim = 0
         curiosity_loss = None
         try:
             if self.world_model is not None:
-                ops.append("world")
-                world_loss = self.world_model.train(self.real_buffer, n_batches, self.rngs["world"])
-                ops.append("plan")
-                dialogs = (cfg.real_dialogs_per_epoch if cfg.planning_dialogs_per_round is None
-                           else cfg.planning_dialogs_per_round)
-                new_sim = plan(partial(self._play_round, level), cfg.planning_rounds, dialogs,
-                               self.sim_buffer, self.rngs["plan"],
-                               worker=self._plan_worker(level, cfg.planning_rounds * dialogs))
+                with op("world"):
+                    world_loss = self.world_model.train(self.real_buffer, n_batches, self.rngs["world"])
+                with op("plan"):
+                    dialogs = (cfg.real_dialogs_per_epoch if cfg.planning_dialogs_per_round is None
+                               else cfg.planning_dialogs_per_round)
+                    new_sim = plan(partial(self._play_round, level), cfg.planning_rounds, dialogs,
+                                   self.sim_buffer, self.rngs["plan"],
+                                   worker=self._plan_worker(level, cfg.planning_rounds * dialogs))
             if self.curiosity is not None:
-                finish_curiosity = self._train_curiosity(max(1, math.ceil((new_real + new_sim) / 16)))
+                with _timed(times, "curiosity"):  # starting it counts toward the op
+                    finish_curiosity = self._train_curiosity(max(1, math.ceil((new_real + new_sim) / 16)),
+                                                             times)
             if new_sim:
-                ops.append("dqn_sim")
-                sim_batches = max(1, math.ceil(new_sim / 16))
-                self.agent.update(self.sim_buffer, sim_batches, self.rngs["dqn-sim"])
+                with op("dqn_sim"):
+                    sim_batches = max(1, math.ceil(new_sim / 16))
+                    self.agent.update(self.sim_buffer, sim_batches, self.rngs["dqn-sim"])
             if self.curiosity is not None:
-                ops.append("curiosity")
-                curiosity_loss = finish_curiosity()
+                with op("curiosity"):
+                    curiosity_loss = finish_curiosity()
         except BaseException:
             self.close()  # the worker may be mid-job: kill it
             raise
@@ -439,11 +455,13 @@ class Trainer:
             mean_c = float(np.mean(self.curiosity.values(encode_state(envs[-1].state))))
             log.debug("epoch %d: mean curiosity %.4f", epoch, mean_c)
 
-        ops.append("sync")
-        self.agent.sync_target()
+        with op("sync"):
+            self.agent.sync_target()
 
         self.stage_action_counts[stage] += counts
         self.epoch_ops.append(ops)
+        times["total"] = time.perf_counter() - started
+        self.epoch_times.append(times)
         report = EpochReport(
             epoch=epoch,
             stage=stage,
@@ -483,17 +501,24 @@ class Trainer:
             weakref.finalize(self, self._worker.close)
         return partial(self._worker.start, level)
 
-    def _train_curiosity(self, n_batches: int):
+    def _train_curiosity(self, n_batches: int, times: dict[str, float]):
         """Start the epoch's curiosity training; returns a callable that
         finishes it and returns its loss.
 
         It runs on the planning worker, while this process goes on, if
-        there is one; otherwise here, when the callable is called.
+        there is one, and the callable adds the time it waits for the
+        worker to ``times["curiosity_wait"]``; otherwise it runs here, when
+        the callable is called.
         """
         rng = self.rngs["curiosity"]
         if self._worker is not None:
             self._worker.start_training(n_batches, rng)
-            return partial(self._worker.finish_training, rng)
+
+            def finish():
+                with _timed(times, "curiosity_wait"):
+                    return self._worker.finish_training(rng)
+
+            return finish
         return partial(self.curiosity.train, self.real_buffer, self.sim_buffer, n_batches, rng)
 
     def _play_round(self, level: str, seeds):
@@ -548,6 +573,16 @@ class Trainer:
         return self.epoch_reports, self.eval_reports
 
 
+@contextlib.contextmanager
+def _timed(times: dict[str, float], name: str):
+    """Add the block's wall seconds to ``times[name]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        times[name] = times.get(name, 0.0) + time.perf_counter() - start
+
+
 # ---- run directory output ------------------------------------------------------
 
 
@@ -572,6 +607,13 @@ def write_eval_csv(path, run_id, reports: list[EvalReport]) -> None:
         w.writerow(["run_id", "checkpoint_epoch", "success_rate", "avg_turns"])
         for r in reports:
             w.writerow([run_id, r.checkpoint_epoch, _fmt(r.success_rate, 4), _fmt(r.avg_turns, 2)])
+
+
+def write_timings_jsonl(path, epoch_times: list[dict[str, float]]) -> None:
+    """One JSON object per epoch: its index and ``Trainer.epoch_times``' seconds."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for epoch, times in enumerate(epoch_times):
+            fh.write(json.dumps({"epoch": epoch, **{k: round(v, 6) for k, v in times.items()}}) + "\n")
 
 
 def write_actions_csv(path, run_id, stage_counts: dict[int, np.ndarray]) -> None:
@@ -602,6 +644,8 @@ def run_experiment(config: RunConfig, kb: KnowledgeBase | None = None,
 
     ``run_id`` (default ``config.run_id``) names the directory and fills the
     run_id column; the echoed config.json is always the exact config used.
+    Wall-clock timings go beside the run directory, to
+    ``<run_id>.timings.jsonl``, so that a seed's run directory keeps its bytes.
     """
     config.validate()
     run_id = config.run_id if run_id is None else run_id
@@ -619,4 +663,5 @@ def run_experiment(config: RunConfig, kb: KnowledgeBase | None = None,
     write_metrics_csv(run_dir / "metrics.csv", run_id, config, epoch_reports)
     write_eval_csv(run_dir / "eval.csv", run_id, eval_reports)
     write_actions_csv(run_dir / "actions.csv", run_id, trainer.stage_action_counts)
+    write_timings_jsonl(run_dir.parent / f"{run_id}.timings.jsonl", trainer.epoch_times)
     return run_dir

@@ -319,11 +319,12 @@ class PlanWorker:
 
     ``play(job, seeds) -> blocks`` runs in the worker, on the worker's copy
     of ``nets`` (forked with them); each batch first sends every net's
-    ``theta``, so the worker plays with the parent's current weights. The
-    worker plays the whole batch, then pickles its blocks one by one, as
-    ``play_round`` yields them, followed by an end marker; the parent loads
-    them as ``plan`` stores the batch through ``experiences``, as it does
-    for the half it plays itself.
+    ``theta``, as raw bytes of the net's own dtype, so the worker plays
+    with the parent's current weights. The worker plays the whole batch,
+    then pickles its blocks one by one, as ``play_round`` yields them,
+    followed by an end marker; the parent loads them as ``plan`` stores
+    the batch through ``experiences``, as it does for the half it plays
+    itself.
 
     Given ``curiosity`` and ``buffers`` (the real and the simulated replay
     buffer), the worker keeps mirrors of both: its fork-time copies of
@@ -333,8 +334,9 @@ class PlanWorker:
     decodes that half through ``experiences`` while ``plan`` stores it and
     appends it after the sent rows itself. It then trains the worker's
     copy of the curiosity net on the mirrors while the parent goes on;
-    ``finish_training`` copies the trained net and the rng state back: the
-    same steps, to the bit, as ``CuriosityModel.train`` on the parent's
+    ``finish_training`` copies the trained net (weights and RMSProp state in
+    the net's dtype, float32 for the curiosity net) and the rng state back:
+    the same steps, to the bit, as ``CuriosityModel.train`` on the parent's
     buffers.
 
     The worker exits on EOF of its command pipe. An error in a job is sent

@@ -68,6 +68,24 @@ def test_gen_data_negative_goal_count_usage_error(tmp_path, capsys):
     assert not (tmp_path / "goals.json").exists()
 
 
+def test_gen_data_negative_seed_exit_2_before_any_dir(tmp_path, capsys):
+    out = tmp_path / "data"
+    rc = main(["gen-data", "--seed", "-1", "--movies", "60", "--goals-spec", "1:4", "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--seed" in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_gen_data_repeated_request_slot_count_exit_2(tmp_path, capsys):
+    out = tmp_path / "data"
+    rc = main(["gen-data", "--movies", "60", "--goals-spec", "1:3,1:4", "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "count 1 is given twice" in err
+    assert not out.exists()
+
+
 def test_gen_data_out_dir_under_a_file_exit_2(tmp_path, capsys):
     kb_path, _ = make_data(tmp_path)
     out = kb_path / "x"

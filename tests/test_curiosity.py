@@ -22,6 +22,16 @@ def prediction_error(cm, s, a, s_next) -> float:
     return float(diff @ diff)
 
 
+def f32_close(v, full) -> bool:
+    """Whether float32 values from the factored first layer match the whole
+    net's on one-hot inputs. The two sum the first layer's terms in another
+    order, then every layer rounds to float32, so they differ by a few float32
+    ulps of the values' scale (8 eps at most measured); 32 eps leaves a
+    margin. A wrong factoring errs by about 1e-1."""
+    scale = max(1.0, float(np.abs(full).max()))
+    return np.allclose(v, full, rtol=0.0, atol=32 * np.finfo(np.float32).eps * scale)
+
+
 def rand_state(rng, dim=STATE):
     return (rng.random(dim) > 0.5).astype(float)
 
@@ -64,8 +74,8 @@ def test_values_match_scores_row_by_row():
             # reference: the whole net on the one-hot (state, action) inputs
             x = encode_inputs(np.tile(states[i], (ACTIONS, 1)), np.arange(ACTIONS), ACTIONS)
             full = np.maximum(cm.net.forward(x)["value"][:, 0], 0.0)
-            assert np.allclose(v[i], full, rtol=0.0, atol=1e-12)
-            assert np.allclose(v[i], cm.scores(states[i])[0], rtol=0.0, atol=1e-12)
+            assert f32_close(v[i], full)
+            assert np.array_equal(v[i], cm.scores(states[i])[0])
     assert (v > 0).any() and (v >= 0).all()
 
 
@@ -80,7 +90,7 @@ def test_values_match_whole_net_across_blocks(n):
     full = np.maximum(cm.net.forward(x)["value"][:, 0], 0.0).reshape(n, 29)
     v = cm.values(states)
     assert v.shape == (n, 29)
-    assert np.allclose(v, full, rtol=0.0, atol=1e-12)
+    assert f32_close(v, full)
     assert (v > 0).any()
 
 

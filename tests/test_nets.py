@@ -288,3 +288,20 @@ def test_clone_is_independent():
     batch = TrainBatch(np.ones((2, 129)), {"q": np.zeros((2, 29))})
     model.train_minibatch(batch, learning_rate=0.1)
     assert not np.array_equal(twin.parameter_vector(), model.parameter_vector())
+
+
+def test_float32_net_keeps_its_dtype_through_training_and_clone():
+    spec = single_head_spec(6, [5], 3, name="out")
+    ref = mlp_new(spec, seed=4)
+    net = mlp_new(spec, seed=4, dtype=np.float32)
+    # the same float64 draws, cast
+    assert net.theta.tobytes() == ref.theta.astype(np.float32).tobytes()
+    rng = np.random.default_rng(0)
+    batch = TrainBatch(rng.normal(size=(4, 6)), {"out": rng.normal(size=(4, 3))}, {"out": np.ones((4, 3))})
+    assert np.isfinite(net.train_minibatch(batch, 0.01))
+    assert net.forward(batch.inputs)["out"].dtype == np.float32
+    twin = net.clone()
+    for model in (net, twin):
+        assert {model.theta.dtype, model.acc.dtype, model._grad.dtype, model._tmp.dtype} == {np.dtype(np.float32)}
+    assert twin.theta.tobytes() == net.theta.tobytes()
+    assert {ref.theta.dtype, ref.acc.dtype} == {np.dtype(np.float64)}

@@ -87,6 +87,7 @@ def run_dir_files(run_dir):
 
 @pytest.mark.parametrize("method, schedule, capacity, rounds, dialogs", [
     pytest.param("SC-DDQ", "EMD", 5000, 3, 3, id="SC-DDQ-EMD-5000"),  # 9 rollouts: 5 here, 4 in the worker
+    pytest.param("C-DDQ", "RANDOM", 5000, 3, 3, id="C-DDQ-RANDOM-5000"),
     pytest.param("DDQ", "RANDOM", 40, 3, 3, id="DDQ-RANDOM-40"),
     pytest.param("DDQ", "RANDOM", 5000, 2, 4, id="DDQ-RANDOM-5000-even"),  # 8 rollouts, 4 each
 ])
@@ -313,6 +314,26 @@ def test_curiosity_trains_on_the_worker_as_in_process(data, monkeypatch, capacit
     assert len(finished) == 4
     # the worker's half of each batch is not sent back: the worker keeps it
     assert len(packed) == 8 and sum(packed[1::2]) < tr.sim_buffer.appended
+    assert outs[True] == outs[False]
+    assert outs[True][2][0] == ["collect", "dqn_real", "world", "plan", "dqn_sim", "curiosity", "sync"]
+    assert_no_children()
+
+
+def test_c_ddq_curiosity_trains_on_the_worker_as_in_process_in_float32(data, monkeypatch):
+    kb, goals = data
+    finished = counting(monkeypatch, PlanWorker, "finish_training")
+    outs = {}
+    for parallel in (False, True):
+        monkeypatch.setattr(training, "can_plan_in_parallel", lambda: parallel)
+        tr = Trainer(tiny_config(method="C-DDQ", schedule="RANDOM"), kb, goals)
+        tr.warm_start()
+        losses = [tr.run_epoch(epoch).curiosity_loss for epoch in range(4)]
+        net = tr.curiosity.net
+        # the worker's reply carries the float32 weights and accumulators as their own bytes
+        assert {net.theta.dtype, net.acc.dtype} == {np.dtype(np.float32)}
+        outs[parallel] = losses, curiosity_state(tr), tr.epoch_ops
+        tr.close()
+    assert len(finished) == 4
     assert outs[True] == outs[False]
     assert outs[True][2][0] == ["collect", "dqn_real", "world", "plan", "dqn_sim", "curiosity", "sync"]
     assert_no_children()

@@ -536,3 +536,53 @@ def test_determinism_across_hash_seeds(tmp_path):
                               capture_output=True, text=True, check=True)
         digests.add(proc.stdout.strip())
     assert len(digests) == 1
+
+
+def test_only_the_curiosity_net_is_float32(data):
+    kb, goals = data
+    tr = Trainer(tiny_config(), kb, goals)
+    assert {tr.curiosity.net.theta.dtype, tr.curiosity.net.acc.dtype} == {np.dtype(np.float32)}
+    for net in (tr.agent.q_net, tr.agent.target_net, tr.world_model.net):
+        assert {net.theta.dtype, net.acc.dtype} == {np.dtype(np.float64)}
+    tr.warm_start()
+    tr.run_epoch(0)
+    assert tr.curiosity.values(np.zeros((2, 129))).dtype == np.float64  # added to float64 Q-values
+    assert tr.curiosity.net.theta.dtype == np.float32 and tr.agent.q_net.theta.dtype == np.float64
+
+
+@pytest.mark.parametrize("method, schedule, ops", [
+    ("SC-DDQ", "EMD", ["collect", "dqn_real", "world", "plan", "dqn_sim", "curiosity", "sync"]),
+    ("DQN", "RANDOM", ["collect", "dqn_real", "sync"]),
+])
+def test_run_writes_op_times_beside_the_run_dir(tmp_path, data, method, schedule, ops):
+    kb, goals = data
+    cfg = tiny_config(method=method, schedule=schedule, out_dir=str(tmp_path))
+    run_dir = run_experiment(cfg, kb, goals)
+    lines = (tmp_path / f"{cfg.run_id}.timings.jsonl").read_text(encoding="utf-8").splitlines()
+    rows = [json.loads(line) for line in lines]
+    assert [row["epoch"] for row in rows] == list(range(cfg.epochs))
+    for row in rows:
+        assert set(row) - {"epoch", "curiosity_wait"} == {*ops, "total"}
+        assert all(isinstance(row[k], float) and row[k] >= 0.0 for k in row if k != "epoch")
+        assert sum(row[op] for op in ops) <= row["total"] + 1e-5
+        if "curiosity_wait" in row:
+            assert row["curiosity_wait"] <= row["curiosity"] + 1e-5
+    # wall-clock numbers stay out of the run dir, whose files keep their bytes
+    assert not any("timing" in p.name for p in run_dir.iterdir())
+    header = (run_dir / "metrics.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert not any(op in header.split(",") for op in ops)
+
+
+def test_curiosity_wait_is_timed_only_on_the_worker(data, monkeypatch):
+    import dialogrl.training as training
+
+    kb, goals = data
+    for parallel in (False, True):
+        monkeypatch.setattr(training, "can_plan_in_parallel", lambda: parallel)
+        tr = Trainer(tiny_config(planning_dialogs_per_round=4), kb, goals)
+        tr.warm_start()
+        tr.run_epoch(0)
+        tr.close()
+        times = tr.epoch_times[0]
+        assert ("curiosity_wait" in times) == parallel
+        assert set(times) - {"curiosity_wait", "total"} == set(tr.epoch_ops[0])
