@@ -8,12 +8,14 @@ then gathers and trains UPDATE_CHUNK minibatches at a time, so each learner
 builds its inputs and targets once per chunk (for the Q-net, one target-net
 forward) instead of once per minibatch. Chunks, not the whole call, bound
 the memory: a curiosity call of about 5k minibatches would stack about
-6 MB per field. On a 2-core x86-64 machine with OpenBLAS 0.3.31, a DQN
-minibatch on a full buffer took a median 239 us in chunks of 1, 207 us in
-chunks of 32, 187 us in chunks of 64 and 219 us in chunks of 128 (wall
-clock, quartiles overlapping from 8 to 64), and target-net rows were
-bit-equal to 16-row forwards for every row count that is a multiple of 16
-up to 4096."""
+6 MB per field. On a 2-core x86-64 machine with OpenBLAS 0.3.31 and one
+BLAS thread, a float32 DQN minibatch on a full buffer took a median 197 us
+in chunks of 1, 173 us in chunks of 32, 180 us in chunks of 64 and 177 us
+in chunks of 128 (wall clock, quartiles overlapping from 32 to 128), and
+float32 target-net rows were bit-equal to 16-row forwards for every row
+count that is a multiple of 16 up to 4096, under the default thread count
+and under one thread (not for 3, 5, 7, 8, 12, 17 or 100 rows against
+1-row forwards)."""
 
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ShapeError, read_json
-from .nets import MlpModel, TrainBatch, mlp_new, single_head_spec
+from .nets import LEARNER_DTYPE, MlpModel, TrainBatch, mlp_new, single_head_spec
 
 log = logging.getLogger(__name__)
 
@@ -42,7 +44,7 @@ class Experience:
 
     The replay buffers hold ``s`` and ``s_next`` as float16 0/1 rows
     (``env.stored_states``): the cast is exact both ways, and checks can
-    still see a non-binary value. ``stack_rows`` casts them back to float64.
+    still see a non-binary value. ``stack_rows`` casts them to LEARNER_DTYPE.
     """
 
     s: np.ndarray
@@ -79,11 +81,15 @@ class ReplayBuffer:
 
 
 def stack_rows(rows: list[np.ndarray]) -> np.ndarray:
-    """``np.stack`` of equal-length 1-D arrays into one float64 matrix,
-    without its view per row (a quarter of the time for a chunk's 512
-    states). This is where stored states are cast back to the dtype the
-    nets compute in: once per gathered chunk."""
-    return np.concatenate(rows, dtype=np.float64).reshape(len(rows), -1)
+    """``np.stack`` of equal-length 1-D arrays into one LEARNER_DTYPE
+    matrix, without its view per row (a quarter of the time for a chunk's
+    512 states). This is where stored states are cast to the dtype the
+    nets compute in: once per gathered chunk. numpy 2.4.6 casts float16
+    to float32 more slowly than to float64 (457 against 382 us for 512
+    rows), yet a DQN minibatch took a median 238 us with this cast against
+    263 us with a float64 one that each step then casts
+    (BENCH_float32_learners.json)."""
+    return np.concatenate(rows, dtype=LEARNER_DTYPE).reshape(len(rows), -1)
 
 
 def minibatch_rows(n: int):
@@ -131,13 +137,13 @@ class DqnAgent:
         self.epsilon = epsilon
         self.learning_rate = learning_rate
         self.step_count = 0
-        self.q_net = mlp_new(q_network_spec(state_dim, n_actions, hidden), seed=seed)
+        self.q_net = mlp_new(q_network_spec(state_dim, n_actions, hidden), seed=seed, dtype=LEARNER_DTYPE)
         self.target_net = self.q_net.clone()
 
     # ---- acting -------------------------------------------------------------
 
     def q_values(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=np.float64)
+        s = np.asarray(s)
         if s.shape != (self.state_dim,):
             raise ShapeError(f"expected state of length {self.state_dim}, got {s.shape}")
         return self.q_net.forward(s)["q"][0]
@@ -159,7 +165,7 @@ class DqnAgent:
             return int(rng.integers(self.n_actions))
         scores = self.q_values(s)
         if bonus is not None:
-            bonus = np.asarray(bonus, dtype=np.float64)
+            bonus = np.asarray(bonus)
             if bonus.shape != (self.n_actions,):
                 raise ShapeError(f"bonus must have length {self.n_actions}, got {bonus.shape}")
             scores = scores + bonus
@@ -187,15 +193,18 @@ class DqnAgent:
     # ---- learning -------------------------------------------------------------
 
     def batch_targets(self, exps: list[Experience]):
-        """Q-learning targets for a batch: r, or r + gamma * max target-Q."""
+        """Q-learning targets for a batch: r, or r + gamma * max target-Q.
+
+        ``r + gamma * max Q`` is computed in float64 from the target net's
+        maximum, then rounded once to the Q-net's dtype."""
         states = stack_rows([e.s for e in exps])
         next_states = stack_rows([e.s_next for e in exps])
         actions = np.array([e.a for e in exps])
         rewards = np.array([e.r for e in exps], dtype=np.float64)
         done = np.array([e.done for e in exps], dtype=bool)
-        best_next = self.q_values_batch(next_states, net=self.target_net).max(axis=1)
+        best_next = self.q_values_batch(next_states, net=self.target_net).max(axis=1).astype(np.float64)
         rows = np.arange(len(exps))
-        targets = np.zeros((len(exps), self.n_actions))
+        targets = np.zeros((len(exps), self.n_actions), dtype=self.q_net.theta.dtype)
         targets[rows, actions] = np.where(done, rewards, rewards + self.gamma * best_next)
         mask = np.zeros_like(targets)
         mask[rows, actions] = 1.0

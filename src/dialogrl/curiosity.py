@@ -7,12 +7,13 @@ selection to bias the agent toward states it cannot yet predict. There is
 no inverse model: the state encoding is already action-driven, so the
 prediction target is the raw encoding itself.
 
-The net is float32 (``nets.MlpModel``'s ``dtype``): its weights, RMSProp
-state, value pass and training steps. The Q-values the bonus is added to
-stay float64, so ``values`` returns float64. On a 2-core Xeon with OpenBLAS
-0.3.31 and one BLAS thread, float32 took the value pass over 30 states from
-a median 1.36 ms to 0.65 ms in 4-state blocks, and over 75 states from
-4.12 ms to 1.66 ms (block-size sweep in BENCH_float32_curiosity.json).
+The net is float32 (``nets.LEARNER_DTYPE``), as every learner net is: its
+weights, RMSProp state, value pass and training steps. ``values`` returns
+float32, the dtype of the Q-values the bonus is added to. On a 2-core Xeon
+with OpenBLAS 0.3.31 and one BLAS thread, float32 took the value pass over
+30 states from a median 1.36 ms to 0.65 ms in 4-state blocks, and over 75
+states from 4.12 ms to 1.66 ms (block-size sweep in
+BENCH_float32_curiosity.json).
 
 The value pass runs over blocks of VALUE_BLOCK_STATES states (116 rows at
 29 actions). In the same sweep, 75 states took 1.55-1.66 ms in blocks of 4
@@ -31,7 +32,7 @@ import numpy as np
 
 from .agent import Experience, ReplayBuffer, minibatch_rows, stack_rows, train_on_replay
 from .errors import ShapeError
-from .nets import HeadSpec, LayerSpec, MlpSpec, TrainBatch, mlp_new
+from .nets import LEARNER_DTYPE, HeadSpec, LayerSpec, MlpSpec, TrainBatch, mlp_new
 from .world import encode_inputs
 
 log = logging.getLogger(__name__)
@@ -61,7 +62,7 @@ class CuriosityModel:
         self.state_dim = state_dim
         self.n_agent_actions = n_agent_actions
         self.learning_rate = learning_rate
-        self.net = mlp_new(curiosity_spec(state_dim, n_agent_actions, hidden), seed=seed, dtype=np.float32)
+        self.net = mlp_new(curiosity_spec(state_dim, n_agent_actions, hidden), seed=seed, dtype=LEARNER_DTYPE)
 
     def values(self, states) -> np.ndarray:
         """Curiosity value of every action in each state, clamped at zero.
@@ -78,7 +79,7 @@ class CuriosityModel:
             raise ShapeError(f"expected states of width {d}, got {states.shape}")
         w1, b1 = self.net.shared_params[0]
         base = states @ w1[:d] + b1
-        out = np.empty((n, k))
+        out = np.empty((n, k), dtype=states.dtype)
         for i in range(0, n, VALUE_BLOCK_STATES):
             z1 = base[i: i + VALUE_BLOCK_STATES, None, :] + w1[d:]  # (states, n_actions, hidden)
             out[i: i + VALUE_BLOCK_STATES] = self.net.forward_head(
@@ -91,7 +92,7 @@ class CuriosityModel:
         Returns (values clamped at zero, predicted next states), shaped
         (n_actions,) and (n_actions, state_dim).
         """
-        s = np.asarray(s, dtype=np.float64)
+        s = np.asarray(s, dtype=LEARNER_DTYPE)
         tiled = np.tile(s, (self.n_agent_actions, 1))
         x = encode_inputs(tiled, np.arange(self.n_agent_actions), self.n_agent_actions)
         return self.values(s)[0], self.net.forward(x)["next_state"]
@@ -112,17 +113,14 @@ class CuriosityModel:
                                              self.learning_rate, self._minibatches)))
 
     def _minibatches(self, exps: list[Experience]):
-        # Inputs and next-state targets are cast to the net's dtype once per
-        # gathered chunk (exactly: they are 0/1). The value target is the
-        # squared error of the float32 prediction, summed in float64.
-        dtype = self.net.theta.dtype
+        # The value target is the squared error of the float32 prediction,
+        # summed in float64.
         x = encode_inputs(stack_rows([e.s for e in exps]), [e.a for e in exps], self.n_agent_actions)
-        x = x.astype(dtype)
-        next_states = stack_rows([e.s_next for e in exps])
-        targets = next_states.astype(dtype)
+        targets = stack_rows([e.s_next for e in exps])
+        wide = targets.astype(np.float64)
         for rows in minibatch_rows(len(exps)):
             yield TrainBatch(x[rows], {
                 "next_state": targets[rows],
-                "value": lambda out, target=next_states[rows]: ((target - out["next_state"]) ** 2).sum(
+                "value": lambda out, target=wide[rows]: ((target - out["next_state"]) ** 2).sum(
                     axis=1, keepdims=True),
             })

@@ -60,8 +60,8 @@ TURN_BUCKET = AGENT_REQUESTED + N_SLOTS
 KB_BUCKET = TURN_BUCKET + MAX_TURN_BUCKETS
 STATE_DIM = KB_BUCKET + KB_BUCKETS
 # Replay buffers store encoded states in this dtype: 0 and 1 are exact in
-# float16 and cast back to float64 exactly, so every net sees the same
-# inputs, from a quarter of float64's bytes; a non-binary value stays
+# float16 and cast back to the nets' float32 exactly, so every net sees the
+# same inputs, from a quarter of float64's bytes; a non-binary value stays
 # visible to checks, as it would not in uint8 or bool.
 STATE_DTYPE = np.float16
 

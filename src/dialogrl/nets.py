@@ -2,12 +2,14 @@
 
 Supports tanh/linear/softmax/sigmoid layers, per-head mse / cross-entropy /
 binary cross-entropy losses with optional element masks, RMSProp updates,
-and a versioned JSON checkpoint format. A net computes in one dtype, float64
-unless built with another, so gradient checks against finite differences
-are meaningful by default: its parameters, RMSProp state and scratch
-vectors are of that dtype, and inputs, targets and masks are cast to it.
-Initial weights are drawn in float64 from the seeded rng, then cast. Only
-the curiosity model's net is float32 (see curiosity.py).
+and a versioned JSON checkpoint format. A net computes in one dtype: its
+parameters, RMSProp state and scratch vectors are of that dtype, and
+inputs, targets and masks are cast to it. Initial weights are drawn in
+float64 from the seeded rng, then cast. ``mlp_new`` defaults to float64,
+so gradient checks against finite differences are meaningful; every
+learner net (the Q-net and its target, the world model and the curiosity
+model) is built in LEARNER_DTYPE, float32, and a checkpoint records its
+net's dtype.
 
 All parameters live in one flat vector ``theta`` and all RMSProp
 accumulators in one flat vector ``acc``, both in parameter order (shared
@@ -36,6 +38,10 @@ ACTIVATIONS = ("tanh", "linear", "softmax", "sigmoid")
 LOSSES = ("mse", "cross_entropy", "binary_cross_entropy")
 
 CHECKPOINT_VERSION = 1
+CHECKPOINT_DTYPES = ("float32", "float64")  # a checkpoint without a dtype is float64
+
+# The dtype every learner net computes in, and that replayed states are cast to.
+LEARNER_DTYPE = np.dtype(np.float32)
 
 
 @dataclass
@@ -391,7 +397,10 @@ class MlpModel:
                 dz = dz * mask.max(axis=1, keepdims=True)
             return loss, dz
         if kind == "binary_cross_entropy":
-            p = np.clip(y, 1e-12, 1.0 - 1e-12)
+            # 1 - 1e-12 rounds to 1.0 in float32: clip a saturated sigmoid by
+            # the output dtype's epsilon there, so log(1 - p) stays finite.
+            tiny = max(1e-12, float(np.finfo(y.dtype).eps))
+            p = np.clip(y, tiny, 1.0 - tiny)
             contrib = -(target * np.log(p) + (1.0 - target) * np.log(1.0 - p))
             if mask is not None:
                 contrib = contrib * mask
@@ -450,6 +459,7 @@ class MlpModel:
 
         return {
             "format_version": CHECKPOINT_VERSION,
+            "dtype": self.theta.dtype.name,
             "spec": self.spec.to_json(),
             "spec_digest": self.spec.digest(),
             "step_count": self.step_count,
@@ -476,7 +486,10 @@ class MlpModel:
             raise FormatError(
                 f"spec hash mismatch: expected {spec.digest()}, checkpoint has {stored_digest}"
             )
-        model = cls(spec, seed=0)
+        dtype = obj.get("dtype", "float64")
+        if dtype not in CHECKPOINT_DTYPES:
+            raise FormatError(f"checkpoint dtype {dtype!r} unsupported (expected one of {CHECKPOINT_DTYPES})")
+        model = cls(spec, seed=0, dtype=dtype)
 
         def load(pairs, into):
             if len(pairs) != len(into):

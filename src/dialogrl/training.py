@@ -340,7 +340,7 @@ class Trainer:
         own, the env's ``encoding``, which each step makes anew from the last
         one rather than encoding the state in full: a step's next state
         is the very array the next step stores as its state, and
-        ``states`` is a stacked float64 copy (stored rows that were views of
+        ``states`` is a stacked float32 copy (stored rows that were views of
         a per-turn batch kept peak RSS about 1.5 % higher in complete
         300-epoch DQN runs).
         Returns the envs and each dialog's transitions, in dialog order.
@@ -397,7 +397,9 @@ class Trainer:
         ``epoch_ops``, and to ``epoch_times`` the wall seconds of each op,
         of the whole epoch (``total``) and, when the planning worker trains
         the curiosity net, of the part of ``curiosity`` spent waiting for it
-        (``curiosity_wait``)."""
+        (``curiosity_wait``). With a planning worker, ``worker_plan`` and
+        ``worker_curiosity`` are the seconds the worker itself spent on the
+        epoch's jobs (``PlanWorker.busy_s``)."""
         if not self._warm_started:
             raise ConfigError("run_epoch called before warm_start")
         started = time.perf_counter()
@@ -460,6 +462,9 @@ class Trainer:
 
         self.stage_action_counts[stage] += counts
         self.epoch_ops.append(ops)
+        if self._worker is not None:
+            times.update((f"worker_{job}", s) for job, s in self._worker.busy_s.items())
+            self._worker.busy_s.clear()
         times["total"] = time.perf_counter() - started
         self.epoch_times.append(times)
         report = EpochReport(

@@ -206,7 +206,8 @@ def test_batch_targets_terminal_and_bootstrap():
 @pytest.mark.parametrize("n_batches", [1, 6, 70])  # 70 spans three gathered chunks
 def test_update_matches_per_minibatch_reference(n_batches):
     # Reference: sample, build targets with a 16-row target-net forward and
-    # step, one minibatch at a time.
+    # step, one minibatch at a time. A target r + 0.9 * max Q is summed in
+    # float64 and rounded once to the Q-net's float32, as ``batch_targets`` states.
     import copy
 
     from dialogrl.nets import TrainBatch
@@ -227,7 +228,7 @@ def test_update_matches_per_minibatch_reference(n_batches):
         best_next = target.forward(np.stack([e.s_next for e in exps]))["q"].max(axis=1)
         targets, mask = np.zeros((16, 29)), np.zeros((16, 29))
         for row, (e, b) in enumerate(zip(exps, best_next)):
-            targets[row, e.a] = e.r if e.done else e.r + 0.9 * b
+            targets[row, e.a] = e.r if e.done else e.r + 0.9 * float(b)
             mask[row, e.a] = 1.0
         batch = TrainBatch(np.stack([e.s for e in exps]), {"q": targets}, {"q": mask})
         losses.append(ref_q.train_minibatch(batch, 0.01))

@@ -296,6 +296,15 @@ def test_eval_checkpoint_with_bad_value_exit_2(run_dir, capsys):
     assert_usage_error(capsys, rc, "malformed agent checkpoint", "'x'")
 
 
+def test_eval_checkpoint_with_unknown_dtype_exit_2(run_dir, capsys):
+    obj = json.loads((run_dir / "checkpoint_ep4.json").read_text())
+    assert obj["q_net"]["dtype"] == "float32"
+    obj["q_net"]["dtype"] = "float16"
+    (run_dir / "bad.json").write_text(json.dumps(obj))
+    rc = main(["eval", "--run-dir", str(run_dir), "--episodes", "2", "--checkpoint", "bad.json"])
+    assert_usage_error(capsys, rc, "checkpoint dtype", "'float16'")
+
+
 def test_eval_checkpoint_directory_exit_2(run_dir, capsys):
     rc = main(["eval", "--run-dir", str(run_dir), "--episodes", "2", "--checkpoint", "."])
     assert_usage_error(capsys, rc, "agent checkpoint", "cannot read")

@@ -305,3 +305,43 @@ def test_float32_net_keeps_its_dtype_through_training_and_clone():
         assert {model.theta.dtype, model.acc.dtype, model._grad.dtype, model._tmp.dtype} == {np.dtype(np.float32)}
     assert twin.theta.tobytes() == net.theta.tobytes()
     assert {ref.theta.dtype, ref.acc.dtype} == {np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_saturated_sigmoid_gives_a_finite_bce_loss(dtype):
+    # 1 - 1e-12 is 1.0 in float32: a clip by that bound would take log(0)
+    net = mlp_new(single_head_spec(3, [], 1, "sigmoid", "binary_cross_entropy"), dtype=dtype)
+    net.theta[:] = 20.0
+    batch = TrainBatch(np.ones((1, 3)), {"out": np.zeros((1, 1))})
+    assert net.forward(batch.inputs)["out"][0, 0] == 1.0
+    loss = net.train_minibatch(batch, 0.01)
+    assert np.isfinite(loss) and loss > 10.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_checkpoint_keeps_the_nets_dtype(dtype):
+    spec_info = random_multihead_spec(np.random.default_rng(6))
+    model = mlp_new(spec_info[0], seed=3, dtype=dtype)
+    rng = np.random.default_rng(9)
+    model.train_minibatch(random_batch_for(spec_info, rng))
+    obj = json.loads(json.dumps(model.to_json()))
+    assert obj["dtype"] == np.dtype(dtype).name
+    loaded = MlpModel.from_json(obj)
+    assert {loaded.theta.dtype, loaded.acc.dtype} == {np.dtype(dtype)}
+    assert loaded.theta.tobytes() == model.theta.tobytes() and loaded.acc.tobytes() == model.acc.tobytes()
+
+
+def test_checkpoint_without_a_dtype_loads_as_float64():
+    model = mlp_new(q_net_spec(), seed=0)
+    obj = model.to_json()
+    del obj["dtype"]
+    loaded = MlpModel.from_json(obj)
+    assert loaded.theta.dtype == np.float64 and loaded.theta.tobytes() == model.theta.tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["float16", "int64", "", None, ["float32"]])
+def test_checkpoint_with_an_unknown_dtype_is_rejected(dtype):
+    obj = mlp_new(q_net_spec(), seed=0, dtype=np.float32).to_json()
+    obj["dtype"] = dtype
+    with pytest.raises(FormatError, match="dtype"):
+        MlpModel.from_json(obj)

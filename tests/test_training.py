@@ -538,16 +538,22 @@ def test_determinism_across_hash_seeds(tmp_path):
     assert len(digests) == 1
 
 
-def test_only_the_curiosity_net_is_float32(data):
+def test_every_learner_net_is_float32(data):
+    from dialogrl.nets import mlp_new, single_head_spec
+
     kb, goals = data
     tr = Trainer(tiny_config(), kb, goals)
-    assert {tr.curiosity.net.theta.dtype, tr.curiosity.net.acc.dtype} == {np.dtype(np.float32)}
-    for net in (tr.agent.q_net, tr.agent.target_net, tr.world_model.net):
-        assert {net.theta.dtype, net.acc.dtype} == {np.dtype(np.float64)}
+    nets = (tr.agent.q_net, tr.agent.target_net, tr.world_model.net, tr.curiosity.net)
     tr.warm_start()
     tr.run_epoch(0)
-    assert tr.curiosity.values(np.zeros((2, 129))).dtype == np.float64  # added to float64 Q-values
-    assert tr.curiosity.net.theta.dtype == np.float32 and tr.agent.q_net.theta.dtype == np.float64
+    for net in nets:
+        assert {net.theta.dtype, net.acc.dtype} == {np.dtype(np.float32)}
+    s = np.zeros((2, 129))
+    assert tr.agent.q_values_batch(s).dtype == np.float32
+    assert tr.curiosity.values(s).dtype == np.float32  # added to float32 Q-values
+    assert all(x.dtype == np.float32 for x in tr.world_model.predict(s, [0, 1]))
+    # gradient checks against finite differences keep a float64 net by default
+    assert mlp_new(single_head_spec(3, [4], 2)).theta.dtype == np.float64
 
 
 @pytest.mark.parametrize("method, schedule, ops", [
@@ -562,7 +568,7 @@ def test_run_writes_op_times_beside_the_run_dir(tmp_path, data, method, schedule
     rows = [json.loads(line) for line in lines]
     assert [row["epoch"] for row in rows] == list(range(cfg.epochs))
     for row in rows:
-        assert set(row) - {"epoch", "curiosity_wait"} == {*ops, "total"}
+        assert set(row) - {"epoch", "curiosity_wait", "worker_plan", "worker_curiosity"} == {*ops, "total"}
         assert all(isinstance(row[k], float) and row[k] >= 0.0 for k in row if k != "epoch")
         assert sum(row[op] for op in ops) <= row["total"] + 1e-5
         if "curiosity_wait" in row:
@@ -573,16 +579,24 @@ def test_run_writes_op_times_beside_the_run_dir(tmp_path, data, method, schedule
     assert not any(op in header.split(",") for op in ops)
 
 
-def test_curiosity_wait_is_timed_only_on_the_worker(data, monkeypatch):
+def test_worker_times_are_timed_only_on_the_worker(tmp_path, data, monkeypatch):
     import dialogrl.training as training
 
     kb, goals = data
+    worker_fields = {"curiosity_wait", "worker_plan", "worker_curiosity"}
+    files = {}
     for parallel in (False, True):
         monkeypatch.setattr(training, "can_plan_in_parallel", lambda: parallel)
-        tr = Trainer(tiny_config(planning_dialogs_per_round=4), kb, goals)
-        tr.warm_start()
-        tr.run_epoch(0)
-        tr.close()
-        times = tr.epoch_times[0]
-        assert ("curiosity_wait" in times) == parallel
-        assert set(times) - {"curiosity_wait", "total"} == set(tr.epoch_ops[0])
+        (tmp_path / str(parallel)).mkdir()
+        monkeypatch.chdir(tmp_path / str(parallel))  # the same relative out_dir, so config.json compares too
+        cfg = tiny_config(planning_dialogs_per_round=4, out_dir="runs")
+        run_dir = run_experiment(cfg, kb, goals)
+        lines = (run_dir.parent / f"{cfg.run_id}.timings.jsonl").read_text(encoding="utf-8").splitlines()
+        for row in map(json.loads, lines):
+            assert set(row) & worker_fields == (worker_fields if parallel else set())
+            assert set(row) - worker_fields - {"epoch", "total"} == {
+                "collect", "dqn_real", "world", "plan", "dqn_sim", "curiosity", "sync"}
+            assert all(row[k] >= 0.0 for k in set(row) & worker_fields)
+        files[parallel] = {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
+    # the worker's seconds go beside the run dir only: its files keep their bytes
+    assert files[True] == files[False]

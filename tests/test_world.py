@@ -52,10 +52,14 @@ def test_predict_batch_rows_match_single_rows():
     states = np.stack([rand_state(rng) for _ in range(6)])
     actions = rng.integers(ACTIONS, size=6)
     batch = wm.predict(states, actions)
+    # The model is float32, and BLAS may sum a 6-row product in another order
+    # than a 1-row one: rows agreed within 1 eps of their scale over 20 seeds
+    # and batches of 6 to 40; 8 eps leaves a margin.
     for i in range(6):
         single = wm.predict(states[i:i + 1], actions[i:i + 1])
         for got, want in zip(batch, single):
-            assert np.allclose(got[i], want[0], rtol=0.0, atol=1e-12)
+            atol = 8 * np.finfo(np.float32).eps * max(1.0, float(np.abs(want[0]).max()))
+            assert np.allclose(got[i], want[0], rtol=0.0, atol=atol)
 
 
 def test_world_model_rejects_sim_buffer():
