@@ -2,13 +2,15 @@
 selection with an optional additive exploration bonus, and Q-learning
 updates against a periodically synced target network.
 
-``train_on_replay`` is the minibatch loop that the Q-net, the world model
-and the curiosity model share. It draws every minibatch of a call first,
-then gathers and trains UPDATE_CHUNK minibatches at a time, so each learner
-builds its inputs and targets once per chunk (for the Q-net, one target-net
-forward) instead of once per minibatch. Chunks, not the whole call, bound
-the memory: a curiosity call of about 5k minibatches would stack about
-6 MB per field. On a 2-core x86-64 machine with OpenBLAS 0.3.31 and one
+``draw`` is the one minibatch draw of the Q-net, the world model and the
+curiosity model: it draws every minibatch of a call first, then gathers
+their experiences. ``train_on_replay`` then trains UPDATE_CHUNK minibatches
+at a time, so each learner builds its inputs and targets once per chunk
+(for the Q-net, one target-net forward) instead of once per minibatch.
+Chunks, not the whole call, bound the memory of those float32 inputs. A
+curiosity job holds its whole call's sampled rows, as the float16 states
+the buffers store: about 1.3 MB per state field for a call of 5k rows.
+On a 2-core x86-64 machine with OpenBLAS 0.3.31 and one
 BLAS thread, a float32 DQN minibatch on a full buffer took a median 197 us
 in chunks of 1, 173 us in chunks of 32, 180 us in chunks of 64 and 177 us
 in chunks of 128 (wall clock, quartiles overlapping from 32 to 128), and
@@ -34,7 +36,7 @@ log = logging.getLogger(__name__)
 
 REPLAY_CAPACITY = 5000
 BATCH_SIZE = 16
-UPDATE_CHUNK = 32  # minibatches gathered together
+UPDATE_CHUNK = 32  # minibatches whose inputs are built together
 
 
 @dataclass
@@ -56,10 +58,7 @@ class Experience:
 
 
 class ReplayBuffer:
-    """Bounded FIFO store; evicts strictly oldest-first at capacity.
-
-    ``appended`` counts every append ever made, evicted or not.
-    """
+    """Bounded FIFO store; evicts strictly oldest-first at capacity."""
 
     def __init__(self, capacity: int = REPLAY_CAPACITY, kind: str = "real"):
         if kind not in ("real", "simulated"):
@@ -67,11 +66,9 @@ class ReplayBuffer:
         self.capacity = capacity
         self.kind = kind
         self._items: deque[Experience] = deque(maxlen=capacity)
-        self.appended = 0
 
     def append(self, exp: Experience) -> None:
         self._items.append(exp)
-        self.appended += 1
 
     def __len__(self) -> int:
         return len(self._items)
@@ -97,27 +94,41 @@ def minibatch_rows(n: int):
     return (slice(lo, lo + BATCH_SIZE) for lo in range(0, n, BATCH_SIZE))
 
 
-def train_on_replay(net: MlpModel, pools: list[ReplayBuffer], n_batches: int,
-                    rng: np.random.Generator, learning_rate: float, minibatches) -> list[float]:
-    """``n_batches`` RMSProp steps of ``net`` on experiences drawn from ``pools``.
+def chunk_rows(n: int):
+    """Row slices of the consecutive chunks of UPDATE_CHUNK minibatches in
+    ``n`` gathered rows."""
+    step = UPDATE_CHUNK * BATCH_SIZE
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
+def draw(pools: list[ReplayBuffer], n_batches: int, rng: np.random.Generator) -> list[Experience]:
+    """The experiences of ``n_batches`` minibatches drawn from ``pools``,
+    BATCH_SIZE per minibatch, in order.
 
     Each minibatch draws ``rng.integers(0, total, size=BATCH_SIZE)`` over the
-    concatenation of ``pools``, all before the first step.
-    The draws are then gathered UPDATE_CHUNK minibatches at a time, and
-    ``minibatches(experiences)`` yields one TrainBatch per BATCH_SIZE rows of
-    a chunk, in order. Returns the losses, one per step.
+    concatenation of ``pools``, all before any experience is gathered.
     """
     sizes = np.array([len(p) for p in pools])
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    draws = [rng.integers(0, int(ends[-1]), size=BATCH_SIZE) for _ in range(n_batches)]
-    losses = []
-    for first in range(0, n_batches, UPDATE_CHUNK):
-        flat = np.concatenate(draws[first: first + UPDATE_CHUNK])
-        which = np.searchsorted(ends, flat, side="right")
-        exps = [pools[p][i] for p, i in zip(which.tolist(), (flat - starts[which]).tolist())]
-        losses += [net.train_minibatch(batch, learning_rate) for batch in minibatches(exps)]
-    return losses
+    flat = np.array([rng.integers(0, int(ends[-1]), size=BATCH_SIZE) for _ in range(n_batches)],
+                    dtype=np.int64).ravel()
+    which = np.searchsorted(ends, flat, side="right")
+    return [pools[p][i] for p, i in zip(which.tolist(), (flat - starts[which]).tolist())]
+
+
+def train_on_replay(net: MlpModel, pools: list[ReplayBuffer], n_batches: int,
+                    rng: np.random.Generator, learning_rate: float, minibatches) -> list[float]:
+    """``n_batches`` RMSProp steps of ``net`` on experiences ``draw``n from
+    ``pools``.
+
+    ``minibatches(experiences)`` yields one TrainBatch per BATCH_SIZE rows
+    of a chunk of UPDATE_CHUNK minibatches, in order. Returns the losses,
+    one per step.
+    """
+    exps = draw(pools, n_batches, rng)
+    return [net.train_minibatch(batch, learning_rate)
+            for rows in chunk_rows(len(exps)) for batch in minibatches(exps[rows])]
 
 
 def q_network_spec(state_dim: int = 129, n_actions: int = 29, hidden: int = 80):

@@ -9,6 +9,7 @@ is compared against. All outputs are data-only CSVs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import sys
@@ -117,29 +118,51 @@ class RunArtifacts:
 
 
 def load_run_dir(run_dir: Path) -> RunArtifacts:
+    """A run directory's config, evaluations and action counts. A file of
+    the wrong shape raises AnalysisError naming the file and the problem."""
     run_dir = Path(run_dir)
-    config = read_json(run_dir / "config.json", AnalysisError, "run config")
+    path = run_dir / "config.json"
+    config = read_json(path, AnalysisError, "run config")
+    with _malformed("run config", path):
+        if not isinstance(config, dict):
+            raise ValueError("expected a JSON object")
+        method, schedule, seed = str(config["method"]), str(config["schedule"]), int(config["seed"])
     success, turns = {}, {}
-    with open(run_dir / "eval.csv", newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    for stage, row in enumerate(rows, start=1):
-        success[stage] = float(row["success_rate"])
-        turns[stage] = float(row["avg_turns"])
+    path = run_dir / "eval.csv"
+    with _malformed("evaluations", path), open(path, newline="", encoding="utf-8") as fh:
+        for stage, row in enumerate(csv.DictReader(fh), start=1):
+            success[stage] = float(row["success_rate"])
+            turns[stage] = float(row["avg_turns"])
     stage_counts: dict[int, np.ndarray] = {}
-    with open(run_dir / "actions.csv", newline="", encoding="utf-8") as fh:
+    path = run_dir / "actions.csv"
+    with _malformed("action counts", path), open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            stage = int(row["stage"])
+            stage, index = int(row["stage"]), int(row["action_index"])
+            if not 0 <= index < N_AGENT_ACTIONS:
+                raise ValueError(f"action_index {index} is not in [0, {N_AGENT_ACTIONS})")
             stage_counts.setdefault(stage, np.zeros(N_AGENT_ACTIONS, dtype=np.int64))
-            stage_counts[stage][int(row["action_index"])] = int(row["count"])
+            stage_counts[stage][index] = int(row["count"])
     return RunArtifacts(
         run_id=run_dir.name,
-        method=config["method"],
-        schedule=config["schedule"],
-        seed=int(config["seed"]),
+        method=method,
+        schedule=schedule,
+        seed=seed,
         success=success,
         turns=turns,
         stage_counts=stage_counts,
     )
+
+
+@contextlib.contextmanager
+def _malformed(what: str, path: Path):
+    """Raise a missing field, a malformed value or an unreadable file in the
+    block as AnalysisError, with ``what`` and ``path``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise AnalysisError(f"{what} {path}: no {exc.args[0]!r} field") from None
+    except (TypeError, ValueError, OSError, csv.Error) as exc:
+        raise AnalysisError(f"{what} {path}: {exc}") from None
 
 
 def discover_runs(runs_dir) -> list[RunArtifacts]:

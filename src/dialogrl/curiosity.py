@@ -30,7 +30,7 @@ import logging
 
 import numpy as np
 
-from .agent import Experience, ReplayBuffer, minibatch_rows, stack_rows, train_on_replay
+from .agent import ReplayBuffer, chunk_rows, draw, minibatch_rows
 from .errors import ShapeError
 from .nets import LEARNER_DTYPE, HeadSpec, LayerSpec, MlpSpec, TrainBatch, mlp_new
 from .world import encode_inputs
@@ -99,28 +99,44 @@ class CuriosityModel:
 
     def train(self, real_buffer: ReplayBuffer | None, sim_buffer: ReplayBuffer | None,
               n_batches: int, rng: np.random.Generator) -> float | None:
-        """Minibatches over the concatenation of both buffers.
+        """``n_batches`` minibatches over the concatenation of both buffers:
+        ``sample`` the rows, then ``fit`` them."""
+        rows = self.sample(real_buffer, sim_buffer, n_batches, rng)
+        return None if rows is None else self.fit(*rows)
 
-        The value head's target is the squared prediction error of the
-        pre-update next-state head, taken from the training step's own
-        forward pass, with no gradient flowing through it.
-        """
+    def sample(self, real_buffer: ReplayBuffer | None, sim_buffer: ReplayBuffer | None,
+               n_batches: int, rng: np.random.Generator):
+        """The rows of ``n_batches`` minibatches ``draw``n over the
+        concatenation of both buffers, as arrays ``(s, a, s_next)`` with one
+        row per drawn transition and the states in their stored dtype; None
+        when both buffers are empty."""
         pools = [b for b in (real_buffer, sim_buffer) if b is not None]
         if not any(pools):
             log.warning("curiosity update skipped: both buffers are empty")
             return None
-        return float(np.mean(train_on_replay(self.net, pools, n_batches, rng,
-                                             self.learning_rate, self._minibatches)))
+        exps = draw(pools, n_batches, rng)
+        return (np.concatenate([e.s for e in exps]).reshape(len(exps), -1),
+                np.array([e.a for e in exps], dtype=np.int64),
+                np.concatenate([e.s_next for e in exps]).reshape(len(exps), -1))
 
-    def _minibatches(self, exps: list[Experience]):
-        # The value target is the squared error of the float32 prediction,
-        # summed in float64.
-        x = encode_inputs(stack_rows([e.s for e in exps]), [e.a for e in exps], self.n_agent_actions)
-        targets = stack_rows([e.s_next for e in exps])
-        wide = targets.astype(np.float64)
-        for rows in minibatch_rows(len(exps)):
-            yield TrainBatch(x[rows], {
-                "next_state": targets[rows],
-                "value": lambda out, target=wide[rows]: ((target - out["next_state"]) ** 2).sum(
-                    axis=1, keepdims=True),
-            })
+    def fit(self, s: np.ndarray, a: np.ndarray, s_next: np.ndarray) -> float:
+        """One RMSProp step per BATCH_SIZE rows of ``sample``'s arrays, built
+        UPDATE_CHUNK minibatches at a time; returns the mean loss.
+
+        The value head's target is the squared prediction error of the
+        pre-update next-state head, taken from the training step's own
+        forward pass, with no gradient flowing through it. The error is of
+        the float32 prediction, summed in float64.
+        """
+        losses = []
+        for chunk in chunk_rows(len(a)):
+            x = encode_inputs(s[chunk], a[chunk], self.n_agent_actions)
+            targets = s_next[chunk].astype(LEARNER_DTYPE)
+            wide = targets.astype(np.float64)
+            for rows in minibatch_rows(len(x)):
+                losses.append(self.net.train_minibatch(TrainBatch(x[rows], {
+                    "next_state": targets[rows],
+                    "value": lambda out, target=wide[rows]: ((target - out["next_state"]) ** 2).sum(
+                        axis=1, keepdims=True),
+                }), self.learning_rate))
+        return float(np.mean(losses))

@@ -17,12 +17,12 @@ in full after a dialog's reset.
 With at least two planning rollouts per epoch and two CPUs, a Trainer forks
 one worker process at its first planning call, which plays the second half
 of every ``plan`` call's rollouts (see ``world.PlanWorker``). For C-DDQ and
-SC-DDQ the worker mirrors both replay buffers and, after planning, is sent
-the transitions its mirrors lack and trains the curiosity net while this
-process runs the ``dqn_sim`` update; the two share no state. Run outputs
-do not depend on the worker. ``close`` (called at the end of ``run``, on
-errors, and when the Trainer is collected) ends it; a pickled Trainer
-leaves it behind, with its mirrors.
+SC-DDQ this process then samples the epoch's curiosity minibatches from its
+replay buffers and sends them to the worker, which trains the curiosity net
+on them while this process runs the ``dqn_sim`` update; the two share no
+state. Run outputs do not depend on the worker. ``close`` (called at the
+end of ``run``, on errors, and when the Trainer is collected) ends it; a
+pickled Trainer leaves it behind.
 
 An epoch holds OpenBLAS to one thread (``nets.one_blas_thread``), so its
 spinning helper thread does not take the worker's CPU; the worker, forked
@@ -490,7 +490,6 @@ class Trainer:
 
         The worker is forked at the first call with at least two rollouts,
         when this process may run on two CPUs, and kept until ``close``.
-        For the curiosity methods it mirrors both replay buffers.
         """
         if rollouts < 2:
             return None
@@ -498,11 +497,9 @@ class Trainer:
             if not can_plan_in_parallel():
                 return None
             nets = [self.agent.q_net, self.world_model.net]
-            mirrors = ()
             if self.curiosity is not None:
                 nets.append(self.curiosity.net)
-                mirrors = (self.real_buffer, self.sim_buffer)
-            self._worker = PlanWorker(nets, self._play_round, self.curiosity, mirrors)
+            self._worker = PlanWorker(nets, self._play_round, self.curiosity)
             weakref.finalize(self, self._worker.close)
         return partial(self._worker.start, level)
 
@@ -510,21 +507,22 @@ class Trainer:
         """Start the epoch's curiosity training; returns a callable that
         finishes it and returns its loss.
 
-        It runs on the planning worker, while this process goes on, if
-        there is one, and the callable adds the time it waits for the
-        worker to ``times["curiosity_wait"]``; otherwise it runs here, when
-        the callable is called.
+        If there is a planning worker, this process samples the minibatches
+        now and the worker fits the net to them while this process goes on;
+        the callable adds the time it waits for the worker to
+        ``times["curiosity_wait"]``. Otherwise both run here, when the
+        callable is called.
         """
-        rng = self.rngs["curiosity"]
-        if self._worker is not None:
-            self._worker.start_training(n_batches, rng)
+        args = self.real_buffer, self.sim_buffer, n_batches, self.rngs["curiosity"]
+        if self._worker is None:
+            return partial(self.curiosity.train, *args)
+        self._worker.start_training(self.curiosity.sample(*args))  # warm_start filled real_buffer
 
-            def finish():
-                with _timed(times, "curiosity_wait"):
-                    return self._worker.finish_training(rng)
+        def finish():
+            with _timed(times, "curiosity_wait"):
+                return self._worker.finish_training()
 
-            return finish
-        return partial(self.curiosity.train, self.real_buffer, self.sim_buffer, n_batches, rng)
+        return finish
 
     def _play_round(self, level: str, seeds):
         return play_round(self.agent, self.curiosity, self.world_model,

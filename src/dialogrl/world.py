@@ -35,12 +35,12 @@ half and then the second, both through ``experiences``. Without a worker
 the caller plays both halves in the same order, so the stored
 experiences, and every run output, do not depend on the number of CPUs.
 
-For the curiosity methods the worker also keeps mirrors of both replay
-buffers. After ``plan`` the caller sends them the transitions they lack,
-as arrays, but for the worker's own half of the rollouts, which the worker
-keeps; the worker then trains the curiosity net on them while the caller
-runs the Q-net's update on simulated experience. The mirrored states keep
-the dtype they are stored in.
+For the curiosity methods the worker also trains the curiosity net while
+the caller runs the Q-net's update on simulated experience. Each such job
+carries its own minibatches: the caller draws them from its replay buffers
+(``CuriosityModel.sample``) and sends their rows, with the states in the
+float16 the buffers store, and the worker only fits them. The worker holds
+no replay data, so the caller's buffers are the only ones.
 """
 
 from __future__ import annotations
@@ -332,22 +332,18 @@ class PlanWorker:
     parent loads them as ``plan`` stores the batch through
     ``experiences``, as it does for the half it plays itself.
 
-    Given ``curiosity`` and ``buffers`` (the real and the simulated replay
-    buffer), the worker keeps mirrors of both: its fork-time copies of
-    them. ``start_training`` sends each mirror the appends it lacks, as
-    arrays (``ReplayBuffer.appended`` counts them), but for the worker's
-    half of the last batch when no append came after it: the worker
-    decodes that half through ``experiences`` while ``plan`` stores it and
-    appends it after the sent rows itself. It then trains the worker's
-    copy of the curiosity net on the mirrors while the parent goes on;
-    ``finish_training`` copies the trained net (weights and RMSProp state in
-    the net's dtype, float32 for the curiosity net) and the rng state back:
-    the same steps, to the bit, as ``CuriosityModel.train`` on the parent's
-    buffers.
+    Given ``curiosity``, ``start_training(rows)`` sends the rows that
+    ``CuriosityModel.sample`` drew in the parent, and the worker fits its
+    copy of the curiosity net to them (``CuriosityModel.fit``) while the
+    parent goes on; ``finish_training`` copies the trained net (weights and
+    RMSProp state in the net's dtype, float32 for the curiosity net) and
+    its step count back: the same steps, to the bit, as fitting the rows in
+    the parent. The worker's copy is the one that trained last, as every
+    curiosity job after the fork runs on the worker.
 
     ``busy_s`` adds up, per job kind ("plan" and "curiosity"), the seconds
     the worker spent on the jobs whose replies were read, as the worker
-    timed them: playing a batch, or updating the mirrors and training.
+    timed them: playing a batch, or fitting the rows.
     The owner clears it when it takes the times.
 
     The worker exits on EOF of its command pipe. An error in a job is sent
@@ -356,13 +352,9 @@ class PlanWorker:
     still busy.
     """
 
-    def __init__(self, nets: list[MlpModel], play, curiosity=None,
-                 buffers: tuple[ReplayBuffer, ...] = ()):
+    def __init__(self, nets: list[MlpModel], play, curiosity=None):
         self._nets = nets
         self._curiosity = curiosity
-        self._buffers = buffers
-        self._mirrored = [b.appended for b in buffers]  # appends sent to the mirrors, per buffer
-        self._held = None  # (rows, simulated appends after them) of the worker's last half
         self._busy = False  # a job was started and its reply not yet read
         self.busy_s: dict[str, float] = {}
         cmd_r, cmd_w = os.pipe()
@@ -372,7 +364,7 @@ class PlanWorker:
             try:
                 gc.freeze()  # objects forked from the parent are never collected here
                 _close_fds_except(0, 1, 2, cmd_r, res_w)
-                _serve(open(cmd_r, "rb"), open(res_w, "wb"), nets, play, curiosity, buffers)
+                _serve(open(cmd_r, "rb"), open(res_w, "wb"), nets, play, curiosity)
             finally:
                 os._exit(0)
         os.close(cmd_r)
@@ -392,48 +384,27 @@ class PlanWorker:
 
     def _receive(self) -> Iterator:
         """The started batch's blocks, in order, loaded as they are iterated."""
-        rows = 0
         while not isinstance(block := self._load(), float):  # the end marker: the job's seconds
-            if isinstance(block, tuple):  # a turn
-                rows += len(block[1])
             yield block
         self._busy = False
         self.busy_s["plan"] = self.busy_s.get("plan", 0.0) + block
-        if self._buffers:  # ``plan`` has stored every row: it reads past the last block
-            self._held = rows, self._buffers[1].appended
 
-    def start_training(self, n_batches: int, rng: np.random.Generator) -> None:
-        """Bring the mirrors up to date, then start ``n_batches`` curiosity
-        steps on them, drawn from (a copy of) ``rng``."""
+    def start_training(self, rows) -> None:
+        """Start fitting the curiosity net to ``rows``, ``CuriosityModel.sample``'s
+        ``(s, a, s_next)``."""
         self._busy = True
-        held, self._held = self._held, None
-        keep = held is not None and held[1] == self._buffers[1].appended
-        news = [self._lacking(0, 0), self._lacking(1, held[0] if keep else 0)]
         with contextlib.suppress(BrokenPipeError):  # the worker failed: ``finish_training`` says why
-            pickle.dump(("train", n_batches, rng, keep, [columns for columns, _ in news]), self._cmd,
-                        pickle.HIGHEST_PROTOCOL)
-            for _, states in news:
-                for s in states:
-                    self._cmd.write(s)
+            pickle.dump(("train", *rows), self._cmd, pickle.HIGHEST_PROTOCOL)
             self._cmd.flush()
 
-    def _lacking(self, k: int, kept: int):
-        """The appends to buffer ``k`` that its mirror lacks, but for the
-        last ``kept``, packed for the worker."""
-        buffer = self._buffers[k]
-        n = min(buffer.appended - self._mirrored[k], len(buffer))  # the rest were evicted
-        self._mirrored[k] = buffer.appended
-        return _pack([buffer[i] for i in range(len(buffer) - n, len(buffer) - min(kept, n))])
-
-    def finish_training(self, rng: np.random.Generator) -> float | None:
+    def finish_training(self) -> float:
         """The started training's loss. The curiosity net's weights, RMSProp
-        state and step count, and ``rng``'s state, become the worker's."""
-        loss, step_count, state, seconds = self._load()
+        state and step count become the worker's."""
+        loss, step_count, seconds = self._load()
         net = self._curiosity.net
         _read_array(self._res, net.theta)
         _read_array(self._res, net.acc)
         net.step_count = step_count
-        rng.bit_generator.state = state
         self._busy = False
         self.busy_s["curiosity"] = self.busy_s.get("curiosity", 0.0) + seconds
         return loss
@@ -462,24 +433,6 @@ class PlanWorker:
         self.pid = None
 
 
-def _pack(exps: list[Experience]):
-    """``exps`` as columns ``(a, r, a_user, done, s, s_next, n_states,
-    width, dtype)``, where ``s`` and ``s_next`` index the distinct state
-    arrays, which are returned beside, each once and in the first one's
-    dtype: a state that is also another transition's next state is sent,
-    and mirrored, as one array."""
-    at = {}  # id of a state array -> (its index, the array)
-    s = [at.setdefault(id(e.s), (len(at), e.s))[0] for e in exps]
-    s_next = [at.setdefault(id(e.s_next), (len(at), e.s_next))[0] for e in exps]
-    dtype = exps[0].s.dtype if exps else np.float64
-    states = [np.ascontiguousarray(x, dtype=dtype) for _, x in at.values()]
-    columns = (np.array([e.a for e in exps]), np.array([e.r for e in exps], dtype=np.float64),
-               np.array([e.a_user for e in exps]), np.array([e.done for e in exps], dtype=bool),
-               np.array(s, dtype=np.int64), np.array(s_next, dtype=np.int64),
-               len(states), states[0].size if states else 0, dtype)
-    return columns, states
-
-
 def _read_array(pipe, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` with its size in bytes from ``pipe``."""
     if out.nbytes and pipe.readinto(memoryview(out).cast("B")) != out.nbytes:
@@ -496,11 +449,10 @@ def _close_fds_except(*keep: int) -> None:
         lo = fd + 1
 
 
-def _serve(cmd, res, nets: list[MlpModel], play, curiosity, buffers) -> None:
+def _serve(cmd, res, nets: list[MlpModel], play, curiosity) -> None:
     """The worker's loop, one job per command: play a batch and send its
-    blocks and the end marker, or update the mirrors, train the curiosity
-    net and send its state. An error is sent back and ends the loop."""
-    held = []  # the experiences of the worker's half of the last batch, for the mirror
+    blocks and the end marker, or fit the curiosity net to the sent rows
+    and send its state. An error is sent back and ends the loop."""
     while True:
         try:
             kind, *args = pickle.load(cmd)
@@ -515,11 +467,14 @@ def _serve(cmd, res, nets: list[MlpModel], play, curiosity, buffers) -> None:
                 blocks = list(play(job, seeds))
                 for block in blocks + [time.perf_counter() - started]:
                     pickle.dump(block, res, pickle.HIGHEST_PROTOCOL)
-                res.flush()
-                held = list(experiences(blocks)) if buffers else []  # while the parent stores them
             else:
-                _train_job(cmd, res, curiosity, buffers, held, *args)
-                held = []
+                started = time.perf_counter()
+                loss = curiosity.fit(*args)
+                net = curiosity.net
+                pickle.dump((loss, net.step_count, time.perf_counter() - started), res,
+                            pickle.HIGHEST_PROTOCOL)
+                res.write(net.theta)
+                res.write(net.acc)
         except Exception as exc:
             try:
                 payload = pickle.dumps(exc)
@@ -529,29 +484,3 @@ def _serve(cmd, res, nets: list[MlpModel], play, curiosity, buffers) -> None:
             res.flush()
             return
         res.flush()
-
-
-def _train_job(cmd, res, curiosity, buffers, held, n_batches: int, rng: np.random.Generator,
-               keep: bool, news) -> None:
-    """Append the sent transitions to the mirrors, then ``held`` to the
-    simulated one if ``keep``; train the curiosity net on them and send the
-    loss, the step count, the rng state and the job's seconds, then the
-    weights and the RMSProp state."""
-    started = time.perf_counter()
-    for mirror, (a, r, a_user, done, s, s_next, n_states, width, dtype) in zip(buffers, news):
-        states = list(_read_array(cmd, np.empty((n_states, width), dtype)))
-        _store(mirror, map(Experience, [states[i] for i in s], a.tolist(), r.tolist(), a_user.tolist(),
-                           [states[i] for i in s_next], done.tolist()))
-    if keep:
-        _store(buffers[1], held)
-    loss = curiosity.train(*buffers, n_batches, rng)
-    net = curiosity.net
-    pickle.dump((loss, net.step_count, rng.bit_generator.state, time.perf_counter() - started), res,
-                pickle.HIGHEST_PROTOCOL)
-    res.write(net.theta)
-    res.write(net.acc)
-
-
-def _store(buffer: ReplayBuffer, exps) -> None:
-    for exp in exps:
-        buffer.append(exp)

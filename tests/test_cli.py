@@ -489,11 +489,28 @@ def test_report_subcommand(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("content, problem", [(b'{"method": "DDQ", "sch', "invalid JSON"),
-                                              (b'{"method": "D\xe9Q"}', "not UTF-8")])
+                                              (b'{"method": "D\xe9Q"}', "not UTF-8"),
+                                              (b'[]', "expected a JSON object"),
+                                              (b'{"schedule": "RANDOM", "seed": 1}', "no 'method' field")])
 def test_report_unreadable_run_config_exit_2(run_dir, capsys, content, problem):
     (run_dir / "config.json").write_bytes(content)  # say, a run that crashed mid-write
     rc = main(["report", "--runs", str(run_dir.parent), "--out", str(run_dir.parent / "report")])
     assert_usage_error(capsys, rc, f"run config {run_dir / 'config.json'}: {problem}")
+
+
+@pytest.mark.parametrize("name, content, problem", [
+    ("eval.csv", "run_id,checkpoint_epoch,avg_turns\nr,4,8.0\n", "evaluations {}: no 'success_rate' field"),
+    ("eval.csv", "run_id,checkpoint_epoch,success_rate,avg_turns\nr,4,high,8.0\n",
+     "evaluations {}: could not convert string to float: 'high'"),
+    ("actions.csv", "run_id,stage,action_index,count\nr,1,99,3\n",
+     "action counts {}: action_index 99 is not in [0, 29)"),
+    ("actions.csv", "run_id,stage,action_index,count\nr,1,-1,3\n",
+     "action counts {}: action_index -1 is not in [0, 29)"),
+])
+def test_report_malformed_run_csv_exit_2(run_dir, capsys, name, content, problem):
+    (run_dir / name).write_text(content)
+    rc = main(["report", "--runs", str(run_dir.parent), "--out", str(run_dir.parent / "report")])
+    assert_usage_error(capsys, rc, problem.format(run_dir / name))
 
 
 def test_report_empty_dir_exit_2(tmp_path):

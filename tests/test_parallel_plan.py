@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 import dialogrl.training as training
-import dialogrl.world as world
-from dialogrl.agent import DqnAgent, Experience
+from dialogrl.agent import DqnAgent, ReplayBuffer
 from dialogrl.cli import main
 from dialogrl.curiosity import CuriosityModel
 from dialogrl.curriculum import stage_boundaries
-from dialogrl.env import STATE_DTYPE, stored_states
+from dialogrl.env import STATE_DTYPE
 from dialogrl.errors import NumericError
 from dialogrl.nets import blas_thread_control
 from dialogrl.training import (RunConfig, Trainer, load_run_data, run_experiment, write_eval_csv,
@@ -131,14 +130,6 @@ def test_worker_planning_matches_in_process(tmp_path, data, monkeypatch, method,
     assert {x.dtype for tr in trainers for buf in (tr.real_buffer, tr.sim_buffer) for e in buf
             for x in (e.s, e.s_next)} == {np.dtype(STATE_DTYPE)}
     assert_no_children()
-
-
-def test_pack_sends_states_in_their_stored_dtype():
-    s = list(stored_states(np.eye(3)))
-    exps = [Experience(s[0], 1, -1.0, 2, s[1], False), Experience(s[1], 0, 2.0, 1, s[2], True)]
-    columns, states = world._pack(exps)
-    assert columns[6:] == (3, 3, STATE_DTYPE)
-    assert [x.tobytes() for x in states] == [x.tobytes() for x in s]
 
 
 def test_worker_needs_two_cpus(data):
@@ -301,8 +292,9 @@ def curiosity_state(tr):
 def test_curiosity_trains_on_the_worker_as_in_process(data, monkeypatch, capacity):
     kb, goals = data
     finished = counting(monkeypatch, PlanWorker, "finish_training")
-    packed, real_pack = [], world._pack
-    monkeypatch.setattr(world, "_pack", lambda exps: packed.append(len(exps)) or real_pack(exps))
+    sent, real_start = [], PlanWorker.start_training
+    monkeypatch.setattr(PlanWorker, "start_training",
+                        lambda self, rows: sent.append(rows) or real_start(self, rows))
     outs = {}
     for parallel in (False, True):
         monkeypatch.setattr(training, "can_plan_in_parallel", lambda: parallel)
@@ -312,8 +304,11 @@ def test_curiosity_trains_on_the_worker_as_in_process(data, monkeypatch, capacit
         outs[parallel] = losses, curiosity_state(tr), tr.epoch_ops
         tr.close()
     assert len(finished) == 4
-    # the worker's half of each batch is not sent back: the worker keeps it
-    assert len(packed) == 8 and sum(packed[1::2]) < tr.sim_buffer.appended
+    # each job carries its minibatches' rows, with the states in their stored dtype
+    assert len(sent) == 4
+    for s, a, s_next in sent:
+        assert s.dtype == s_next.dtype == STATE_DTYPE
+        assert len(s) == len(a) == len(s_next) > 0 and len(a) % 16 == 0
     assert outs[True] == outs[False]
     assert outs[True][2][0] == ["collect", "dqn_real", "world", "plan", "dqn_sim", "curiosity", "sync"]
     assert_no_children()
@@ -339,7 +334,7 @@ def test_c_ddq_curiosity_trains_on_the_worker_as_in_process_in_float32(data, mon
     assert_no_children()
 
 
-def test_mirrors_catch_up_after_a_plan_call_that_bypassed_the_worker(data, monkeypatch):
+def test_curiosity_trains_on_the_worker_after_a_plan_call_that_bypassed_it(data, monkeypatch):
     # Epoch 1's plan call is stubbed: the worker plays nothing that epoch.
     kb, goals = data
     real_plan = training.plan
@@ -362,16 +357,41 @@ def test_mirrors_catch_up_after_a_plan_call_that_bypassed_the_worker(data, monke
     assert_no_children()
 
 
+def test_curiosity_job_follows_buffers_replaced_after_the_fork(data, monkeypatch):
+    # Nothing in the package replaces a buffer; a job still trains on the
+    # trainer's buffers as they are, not on copies taken at the fork.
+    kb, goals = data
+    finished = counting(monkeypatch, PlanWorker, "finish_training")
+    outs = {}
+    for parallel in (False, True):
+        monkeypatch.setattr(training, "can_plan_in_parallel", lambda: parallel)
+        tr = Trainer(tiny_config(), kb, goals)
+        tr.warm_start()
+        losses = []
+        for epoch in range(4):
+            if epoch == 2:
+                kept = ReplayBuffer(tr.config.buffer_capacity, kind="real")
+                for i in range(0, len(tr.real_buffer), 2):
+                    kept.append(tr.real_buffer[i])
+                tr.real_buffer = kept
+            losses.append(tr.run_epoch(epoch).curiosity_loss)
+        outs[parallel] = losses, curiosity_state(tr)
+        tr.close()
+    assert len(finished) == 4
+    assert outs[True] == outs[False]
+    assert_no_children()
+
+
 def test_curiosity_error_on_the_worker_reaches_parent_and_exits_3(tmp_path, data, monkeypatch, capsys):
     monkeypatch.setattr(training, "can_plan_in_parallel", lambda: True)
-    parent, real_train = os.getpid(), CuriosityModel.train
+    parent, real_fit = os.getpid(), CuriosityModel.fit
 
-    def train(self, *args):
+    def fit(self, *args):
         if os.getpid() != parent:
             raise NumericError("non-finite loss (forced on the worker)")
-        return real_train(self, *args)
+        return real_fit(self, *args)
 
-    monkeypatch.setattr(CuriosityModel, "train", train)
+    monkeypatch.setattr(CuriosityModel, "fit", fit)
     kb, goals = data
     tr = Trainer(tiny_config(), kb, goals)
     tr.warm_start()
