@@ -1,6 +1,8 @@
 """Post-run analytics: per-stage action distributions, base-2 action
 entropy, Pearson correlation of stage entropy against final success, and
-paper-style CSV tables built from persisted run directories.
+paper-style CSV tables built from persisted run directories, and each
+run's wall-clock split by op from the ``<run_id>.timings.jsonl`` file that
+sits beside its run directory.
 
 Entropy uses log base 2: reported stage entropies for 29 actions then live
 in [0, log2 29 ~= 4.858], matching the scale of the numbers this analysis
@@ -11,9 +13,10 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +108,7 @@ class RunArtifacts:
     success: dict[int, float]  # stage -> success rate
     turns: dict[int, float]
     stage_counts: dict[int, np.ndarray]
+    timings: dict[str, float] = field(default_factory=dict)  # timed field -> seconds summed over epochs
 
     @property
     def strategy(self) -> str:
@@ -150,7 +154,34 @@ def load_run_dir(run_dir: Path) -> RunArtifacts:
         success=success,
         turns=turns,
         stage_counts=stage_counts,
+        timings=load_timings(run_dir.parent / f"{run_dir.name}.timings.jsonl"),
     )
+
+
+def load_timings(path: Path) -> dict[str, float]:
+    """Each timed field of a ``timings.jsonl`` file (every key but
+    ``epoch``) summed over its lines, in the order the fields first appear;
+    empty when there is no such file. A line that is not a JSON object of
+    finite seconds with a ``total`` raises AnalysisError naming the file."""
+    times: dict[str, float] = {}
+    if not path.exists():
+        return times
+    with _malformed("timings", path), open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, start=1):
+            try:
+                obj = json.loads(line)
+            except ValueError:
+                raise ValueError(f"line {number} is not JSON") from None
+            if not isinstance(obj, dict) or "total" not in obj:
+                raise ValueError(f"line {number} is not an object with a 'total'")
+            for key, seconds in obj.items():
+                if key == "epoch":
+                    continue
+                if (not isinstance(seconds, (int, float)) or isinstance(seconds, bool)
+                        or not math.isfinite(seconds)):
+                    raise ValueError(f"line {number}: {key} is not a number of seconds: {seconds!r}")
+                times[key] = times.get(key, 0.0) + seconds
+    return times
 
 
 @contextlib.contextmanager
@@ -274,6 +305,16 @@ def build_report(runs_dir, out_dir) -> dict[str, Path]:
             for stage in (1, 2, 3, 4):
                 vals = [r.success[stage] for r in groups[key] if stage in r.success]
                 w.writerow([key, stage, f"{np.mean(vals):.4f}" if vals else ""])
+
+    # where each run's wall clock went: one row per timed field, its share of the summed ``total``
+    paths["timings"] = out / "timings.csv"
+    with open(paths["timings"], "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["run_id", "op", "seconds", "share"])
+        for run in runs:
+            total = run.timings.get("total", 0.0)
+            for op, seconds in run.timings.items():
+                w.writerow([run.run_id, op, f"{seconds:.6f}", f"{seconds / total:.4f}" if total > 0 else ""])
 
     # correlation of per-run stage entropy against per-run final success
     paths["correlation"] = out / "correlation.csv"

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .agent import DqnAgent
 from .analysis import build_report
-from .curriculum import ALL, LEVELS, build_buffers
+from .curriculum import ALL, LEVELS, build_buffers, schedule_levels
 from .domain import (
     DEFAULT_GOAL_COUNTS,
     default_roster,
@@ -154,6 +154,10 @@ def expand_matrix(spec: dict) -> list[tuple[RunConfig, int]]:
     schedule. The rng seed of each run derives from the master seed plus the
     cell coordinates, so results do not depend on scheduling order; the
     human-readable seed index names the run directory.
+
+    Every cell's config is validated before any cell runs, and a method,
+    schedule or seed listed twice is an error: two cells would write one
+    run directory.
     """
     if not isinstance(spec, dict):
         raise ConfigError("matrix: expected a JSON object")
@@ -167,15 +171,33 @@ def expand_matrix(spec: dict) -> list[tuple[RunConfig, int]]:
     for name, value in [("master_seed", master)] + [(f"seeds[{i}]", s) for i, s in enumerate(seeds)]:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"matrix: {name} must be an integer, got {value!r}")
+    for key, values in (("methods", methods), ("schedules", schedules)):
+        for value in values:
+            if not isinstance(value, str):
+                raise ConfigError(f"matrix: {key}: expected names, got {value!r}")
+    for key, values in (("methods", methods), ("schedules", schedules), ("seeds", seeds)):
+        if len(set(values)) < len(values):
+            repeated = next(v for v in values if values.count(v) > 1)
+            raise ConfigError(f"matrix: {key}: {repeated!r} is listed twice")
+    custom = RunConfig.from_json(base).custom_schedules
+    for schedule in schedules:  # also those no listed method uses: a typo there is still one
+        try:
+            schedule_levels(schedule, custom)
+        except ConfigError as exc:
+            raise ConfigError(f"matrix: schedules: {exc}") from None
     jobs = []
     for method in methods:
-        if not isinstance(method, str) or method not in METHODS:
+        if method not in METHODS:
             raise ConfigError(f"matrix: methods: unknown method {method!r}")
         pairs = [(method, s) for s in schedules] if method in SCHEDULED_METHODS else [(method, "RANDOM")]
         for method_name, schedule in pairs:
             for seed_index in seeds:
                 cfg = RunConfig.from_json({**base, "method": method_name, "schedule": schedule})
                 cfg.seed = derive_seed(master, method_name, schedule, seed_index) % (1 << 31)
+                try:
+                    cfg.validate()
+                except ConfigError as exc:
+                    raise ConfigError(f"matrix: cell {method_name} {schedule}: {exc}") from None
                 jobs.append((cfg, seed_index))
     return jobs
 

@@ -15,13 +15,19 @@ with OpenBLAS 0.3.31 and one BLAS thread, float32 took the value pass over
 states from 4.12 ms to 1.66 ms (block-size sweep in
 BENCH_float32_curiosity.json).
 
-The value pass runs over blocks of VALUE_BLOCK_STATES states (116 rows at
-29 actions). In the same sweep, 75 states took 1.55-1.66 ms in blocks of 4
-or 8 states and 2.82 ms as one batch, and 30 states 0.62-0.65 ms against
-1.01 ms: larger products fall out of cache. Blocks of 4, 8 or 16 states
-(row counts that are multiples of 4) gave the values of one whole batch to
-the bit for every batch of 1 to 40 states; blocks of 1, 2, 3, 5 or 6
-states differed in the last bits.
+The value pass runs over blocks of VALUE_BLOCK_STATES states (232 rows at
+29 actions). On the same machine, with one BLAS thread and float32 weights
+(median of 300 calls, BENCH_first_chunk.json):
+
+    states   4-state blocks   8-state blocks   16-state blocks
+    30       582 us           525 us           903 us
+    75       1456 us          1301 us          2027 us
+
+Larger blocks fall out of cache; an earlier sweep had 2.82 ms for 75 states
+as one batch. Blocks of 4, 8 or 16 states (row counts that are multiples
+of 4) give the same values to the bit for every batch of 1 to 75 states;
+blocks of 1, 2, 3, 5 or 6 states differed from a whole batch in the last
+bits.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from .world import encode_inputs
 
 log = logging.getLogger(__name__)
 
-VALUE_BLOCK_STATES = 4
+VALUE_BLOCK_STATES = 8
 
 
 def curiosity_spec(state_dim: int = 129, n_agent_actions: int = 29, hidden: int = 80) -> MlpSpec:
@@ -100,9 +106,9 @@ class CuriosityModel:
     def train(self, real_buffer: ReplayBuffer | None, sim_buffer: ReplayBuffer | None,
               n_batches: int, rng: np.random.Generator) -> float | None:
         """``n_batches`` minibatches over the concatenation of both buffers:
-        ``sample`` the rows, then ``fit`` them."""
+        ``sample`` the rows, then ``fit`` them; returns the mean loss."""
         rows = self.sample(real_buffer, sim_buffer, n_batches, rng)
-        return None if rows is None else self.fit(*rows)
+        return None if rows is None else float(np.mean(self.fit(*rows)))
 
     def sample(self, real_buffer: ReplayBuffer | None, sim_buffer: ReplayBuffer | None,
                n_batches: int, rng: np.random.Generator):
@@ -119,9 +125,9 @@ class CuriosityModel:
                 np.array([e.a for e in exps], dtype=np.int64),
                 np.concatenate([e.s_next for e in exps]).reshape(len(exps), -1))
 
-    def fit(self, s: np.ndarray, a: np.ndarray, s_next: np.ndarray) -> float:
+    def fit(self, s: np.ndarray, a: np.ndarray, s_next: np.ndarray) -> list[float]:
         """One RMSProp step per BATCH_SIZE rows of ``sample``'s arrays, built
-        UPDATE_CHUNK minibatches at a time; returns the mean loss.
+        UPDATE_CHUNK minibatches at a time; returns the losses, one per step.
 
         The value head's target is the squared prediction error of the
         pre-update next-state head, taken from the training step's own
@@ -139,4 +145,4 @@ class CuriosityModel:
                     "value": lambda out, target=wide[rows]: ((target - out["next_state"]) ** 2).sum(
                         axis=1, keepdims=True),
                 }), self.learning_rate))
-        return float(np.mean(losses))
+        return losses

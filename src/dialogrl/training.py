@@ -20,9 +20,10 @@ of every ``plan`` call's rollouts (see ``world.PlanWorker``). For C-DDQ and
 SC-DDQ this process then samples the epoch's curiosity minibatches from its
 replay buffers and sends them to the worker, which trains the curiosity net
 on them while this process runs the ``dqn_sim`` update; the two share no
-state. Run outputs do not depend on the worker. ``close`` (called at the
-end of ``run``, on errors, and when the Trainer is collected) ends it; a
-pickled Trainer leaves it behind.
+state. The first UPDATE_CHUNK minibatches go first, so the worker fits them
+while this process samples and sends the rest. Run outputs do not depend
+on the worker. ``close`` (called at the end of ``run``, on errors, and when
+the Trainer is collected) ends it; a pickled Trainer leaves it behind.
 
 An epoch holds OpenBLAS to one thread (``nets.one_blas_thread``), so its
 spinning helper thread does not take the worker's CPU; the worker, forked
@@ -44,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import DqnAgent, Experience, ReplayBuffer, stack_rows
+from .agent import UPDATE_CHUNK, DqnAgent, Experience, ReplayBuffer, stack_rows
 from .curiosity import CuriosityModel
 from .curriculum import (
     ALL,
@@ -508,15 +509,20 @@ class Trainer:
         finishes it and returns its loss.
 
         If there is a planning worker, this process samples the minibatches
-        now and the worker fits the net to them while this process goes on;
-        the callable adds the time it waits for the worker to
-        ``times["curiosity_wait"]``. Otherwise both run here, when the
-        callable is called.
+        now and the worker fits the net to them while this process goes on:
+        the first UPDATE_CHUNK go out alone, so the worker fits them while
+        this process samples the rest (two ``sample`` calls make the same
+        rng draws as one). The callable adds the time it waits for the
+        worker to ``times["curiosity_wait"]``. Otherwise both run here,
+        when the callable is called.
         """
-        args = self.real_buffer, self.sim_buffer, n_batches, self.rngs["curiosity"]
+        buffers, rng = (self.real_buffer, self.sim_buffer), self.rngs["curiosity"]
         if self._worker is None:
-            return partial(self.curiosity.train, *args)
-        self._worker.start_training(self.curiosity.sample(*args))  # warm_start filled real_buffer
+            return partial(self.curiosity.train, *buffers, n_batches, rng)
+        first = min(n_batches, UPDATE_CHUNK)  # warm_start filled real_buffer, so sample gives rows
+        self._worker.start_training(self.curiosity.sample(*buffers, first, rng), first < n_batches)
+        if first < n_batches:
+            self._worker.continue_training(self.curiosity.sample(*buffers, n_batches - first, rng))
 
         def finish():
             with _timed(times, "curiosity_wait"):

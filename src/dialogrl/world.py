@@ -39,8 +39,11 @@ For the curiosity methods the worker also trains the curiosity net while
 the caller runs the Q-net's update on simulated experience. Each such job
 carries its own minibatches: the caller draws them from its replay buffers
 (``CuriosityModel.sample``) and sends their rows, with the states in the
-float16 the buffers store, and the worker only fits them. The worker holds
-no replay data, so the caller's buffers are the only ones.
+float16 the buffers store, and the worker only fits them. A job of more
+than UPDATE_CHUNK minibatches comes in two messages, the first chunk's rows
+and then the rest, so the worker fits the first while the caller draws the
+rest. The worker holds no replay data, so the caller's buffers are the
+only ones.
 """
 
 from __future__ import annotations
@@ -332,18 +335,22 @@ class PlanWorker:
     parent loads them as ``plan`` stores the batch through
     ``experiences``, as it does for the half it plays itself.
 
-    Given ``curiosity``, ``start_training(rows)`` sends the rows that
+    Given ``curiosity``, ``start_training(rows, more)`` sends the rows that
     ``CuriosityModel.sample`` drew in the parent, and the worker fits its
     copy of the curiosity net to them (``CuriosityModel.fit``) while the
-    parent goes on; ``finish_training`` copies the trained net (weights and
-    RMSProp state in the net's dtype, float32 for the curiosity net) and
-    its step count back: the same steps, to the bit, as fitting the rows in
-    the parent. The worker's copy is the one that trained last, as every
+    parent goes on. With ``more``, ``continue_training(rows)`` sends the
+    job's other rows, which a thread in the worker reads while the first
+    ones are fitted, so the parent's send does not wait for that fit; the
+    worker fits them next, and the job's loss is the mean over the steps of
+    both. ``finish_training`` copies the trained net (weights and RMSProp
+    state in the net's dtype, float32 for the curiosity net) and its step
+    count back: the same steps, to the bit, as fitting the rows in the
+    parent. The worker's copy is the one that trained last, as every
     curiosity job after the fork runs on the worker.
 
     ``busy_s`` adds up, per job kind ("plan" and "curiosity"), the seconds
     the worker spent on the jobs whose replies were read, as the worker
-    timed them: playing a batch, or fitting the rows.
+    timed them: playing a batch, or fitting the rows (not waiting for them).
     The owner clears it when it takes the times.
 
     The worker exits on EOF of its command pipe. An error in a job is sent
@@ -389,12 +396,20 @@ class PlanWorker:
         self._busy = False
         self.busy_s["plan"] = self.busy_s.get("plan", 0.0) + block
 
-    def start_training(self, rows) -> None:
+    def start_training(self, rows, more: bool) -> None:
         """Start fitting the curiosity net to ``rows``, ``CuriosityModel.sample``'s
-        ``(s, a, s_next)``."""
+        ``(s, a, s_next)``. With ``more``, the job's other rows follow in one
+        ``continue_training`` call, and the worker fits these meanwhile."""
         self._busy = True
+        self._send(("train", more, *rows))
+
+    def continue_training(self, rows) -> None:
+        """Send the rest of the started job's rows, to be fitted after the first."""
+        self._send(rows)
+
+    def _send(self, msg) -> None:
         with contextlib.suppress(BrokenPipeError):  # the worker failed: ``finish_training`` says why
-            pickle.dump(("train", *rows), self._cmd, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(msg, self._cmd, pickle.HIGHEST_PROTOCOL)
             self._cmd.flush()
 
     def finish_training(self) -> float:
@@ -451,8 +466,9 @@ def _close_fds_except(*keep: int) -> None:
 
 def _serve(cmd, res, nets: list[MlpModel], play, curiosity) -> None:
     """The worker's loop, one job per command: play a batch and send its
-    blocks and the end marker, or fit the curiosity net to the sent rows
-    and send its state. An error is sent back and ends the loop."""
+    blocks and the end marker, or fit the curiosity net to the sent rows,
+    in one part or two, and send its state. An error is sent back and ends
+    the loop."""
     while True:
         try:
             kind, *args = pickle.load(cmd)
@@ -468,10 +484,21 @@ def _serve(cmd, res, nets: list[MlpModel], play, curiosity) -> None:
                 for block in blocks + [time.perf_counter() - started]:
                     pickle.dump(block, res, pickle.HIGHEST_PROTOCOL)
             else:
-                started = time.perf_counter()
-                loss = curiosity.fit(*args)
+                from concurrent.futures import ThreadPoolExecutor  # imported here: only the worker needs it
+
+                more, *rows = args
+                with ThreadPoolExecutor(1) as reader:  # reads the job's other rows while the first fit
+                    rest = reader.submit(pickle.load, cmd) if more else None
+                    started = time.perf_counter()
+                    losses = curiosity.fit(*rows)
+                    seconds = time.perf_counter() - started
+                    if rest is not None:
+                        rows = rest.result()  # waiting for them is not timed
+                        started = time.perf_counter()
+                        losses += curiosity.fit(*rows)
+                        seconds += time.perf_counter() - started
                 net = curiosity.net
-                pickle.dump((loss, net.step_count, time.perf_counter() - started), res,
+                pickle.dump((float(np.mean(losses)), net.step_count, seconds), res,
                             pickle.HIGHEST_PROTOCOL)
                 res.write(net.theta)
                 res.write(net.acc)

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import numpy as np
@@ -219,6 +220,42 @@ def test_report_names_skipped_run_dirs(tmp_path, capsys):
     assert [row[1] for row in table4[1:]] == ["DDQ"]
 
 
+def test_build_report_timings_sum_epochs_per_run(tmp_path):
+    runs = tmp_path / "runs"
+    synth_run(runs, "DDQ", "RANDOM", 1, [0.2, 0.4, 0.6, 0.8], 2)
+    synth_run(runs, "DQN", "RANDOM", 2, [0.2, 0.4, 0.6, 0.8], 2)  # no timings file: no rows
+    (runs / "DDQ_RANDOM_1.timings.jsonl").write_text(
+        '{"epoch": 0, "collect": 0.5, "plan": 1.0, "total": 2.0}\n'
+        '{"epoch": 1, "collect": 1.5, "plan": 2.0, "curiosity_wait": 0.25, "total": 6.0}\n')
+    paths = build_report(runs, tmp_path / "report")
+    rows = [tuple(row) for row in csv.reader(open(paths["timings"]))]
+    assert rows == [("run_id", "op", "seconds", "share"),
+                    ("DDQ_RANDOM_1", "collect", "2.000000", "0.2500"),
+                    ("DDQ_RANDOM_1", "plan", "3.000000", "0.3750"),
+                    ("DDQ_RANDOM_1", "total", "8.000000", "1.0000"),
+                    ("DDQ_RANDOM_1", "curiosity_wait", "0.250000", "0.0312")]
+
+
+@pytest.mark.parametrize("line, problem", [
+    ('{"epoch": 0, "collect": 0.5, "tot', "line 2 is not JSON"),
+    ('[0.5]', "line 2 is not an object with a 'total'"),
+    ('{"epoch": 1, "collect": 0.5}', "line 2 is not an object with a 'total'"),
+    ('{"epoch": 1, "collect": "fast", "total": 1.0}', "line 2: collect is not a number of seconds: 'fast'"),
+    ('{"epoch": 1, "collect": true, "total": 1.0}', "line 2: collect is not a number of seconds: True"),
+])
+def test_report_malformed_timings_line_exit_2(tmp_path, capsys, line, problem):
+    from dialogrl.cli import main
+
+    runs = tmp_path / "runs"
+    synth_run(runs, "DDQ", "RANDOM", 1, [0.2, 0.4, 0.6, 0.8], 2)
+    path = runs / "DDQ_RANDOM_1.timings.jsonl"
+    path.write_text('{"epoch": 0, "collect": 0.5, "total": 2.0}\n' + line + "\n")
+    rc = main(["report", "--runs", str(runs), "--out", str(tmp_path / "report")])
+    err = capsys.readouterr().err
+    assert rc == 2 and "Traceback" not in err
+    assert f"error: timings {path}: {problem}" in err
+
+
 def test_build_report_empty_dir_errors(tmp_path):
     (tmp_path / "runs").mkdir()
     with pytest.raises(AnalysisError):
@@ -239,6 +276,17 @@ def test_report_consumes_real_run_output(tmp_path):
     assert runs[0].run_id == "DDQ_RANDOM_3"
     table4 = list(csv.reader(open(paths["table4"])))
     assert len(table4) == 2
+    # timings.csv sums run_experiment's timings.jsonl: one row per timed op, each a share of the total
+    epochs = [json.loads(line) for line in open(tmp_path / "runs" / "DDQ_RANDOM_3.timings.jsonl")]
+    timings = list(csv.DictReader(open(paths["timings"])))
+    assert {row["run_id"] for row in timings} == {"DDQ_RANDOM_3"}
+    assert [row["op"] for row in timings] == list(dict.fromkeys(k for e in epochs for k in e if k != "epoch"))
+    seconds = {row["op"]: float(row["seconds"]) for row in timings}
+    for op in ("collect", "dqn_real", "world", "plan", "dqn_sim", "sync", "total"):
+        assert seconds[op] == pytest.approx(sum(e[op] for e in epochs), abs=1e-6)
+    share = {row["op"]: float(row["share"]) for row in timings}
+    assert share["total"] == 1.0
+    assert sum(share[op] for op in ("collect", "dqn_real", "world", "plan", "dqn_sim", "sync")) <= 1.0 + 1e-3
 
 
 def test_stage_success_correlations_typed(tmp_path):

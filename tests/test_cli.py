@@ -467,8 +467,18 @@ def test_matrix_failed_cell_writes_traceback(tmp_path, capsys, monkeypatch):
     ("methods", {"methods": "DQN"}),
     ("methods", {"methods": [["DQN"]]}),
     ("schedules", {"methods": ["S-DDQ"], "schedules": "EMD"}),
+    # two cells would write one run directory
+    ("methods", {"methods": ["DQN", "DQN"], "seeds": [0, 0]}),
+    ("seeds", {"methods": ["DQN"], "seeds": [0, 0]}),
+    ("schedules", {"methods": ["S-DDQ"], "schedules": ["EMD", "EDD", "EMD"]}),
+    # every cell would fail its config's validation
+    ("unknown schedule 'XYZ'", {"methods": ["S-DDQ"], "schedules": ["XYZ"]}),
+    ("unknown schedule 'XYZ'", {"methods": ["DQN"], "schedules": ["XYZ"]}),
+    ("epochs", {"methods": ["DQN"], "base": {"epochs": 2}}),
+    ("epsilon", {"methods": ["DDQ", "S-DDQ"], "schedules": ["EMD"], "base": {"epsilon": 7.0}}),
 ])
-def test_matrix_mistyped_config_exit_2(tmp_path, capsys, field, spec):
+def test_matrix_mistyped_config_exit_2(tmp_path, capsys, monkeypatch, field, spec):
+    monkeypatch.chdir(tmp_path)  # a cell that ran would write under ./runs
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps(spec))
     rc = main(["matrix", "--config", str(path), "--jobs", "1"])
@@ -476,6 +486,7 @@ def test_matrix_mistyped_config_exit_2(tmp_path, capsys, field, spec):
     assert rc == 2
     assert "Traceback" not in err
     assert field in err
+    assert [p.name for p in tmp_path.iterdir()] == ["matrix.json"]  # no cell ran
 
 
 def test_report_subcommand(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dialogrl import curiosity
 from dialogrl.agent import Experience, ReplayBuffer
 from dialogrl.curiosity import CuriosityModel
 from dialogrl.env import encode_state, DialogState
@@ -79,9 +80,10 @@ def test_values_match_scores_row_by_row():
     assert (v > 0).any() and (v >= 0).all()
 
 
-@pytest.mark.parametrize("n", [1, 3, 4, 5, 30])
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 9, 30, 75])
 def test_values_match_whole_net_across_blocks(n):
-    # Canonical sizes: 29 actions make 4-state blocks, so n = 5 and 30 cross block edges.
+    # Canonical sizes, in 8-state blocks: n = 1 to 5 fill part of one block, n = 8 fills
+    # it exactly, and n = 9, 30 and 75 cross block edges.
     cm = CuriosityModel(seed=3)
     rng = np.random.default_rng(n)
     cm.net.set_parameter_vector(rng.normal(scale=0.3, size=cm.net.theta.size))
@@ -92,6 +94,21 @@ def test_values_match_whole_net_across_blocks(n):
     assert v.shape == (n, 29)
     assert f32_close(v, full)
     assert (v > 0).any()
+
+
+def test_values_are_bit_equal_across_block_sizes(monkeypatch):
+    # VALUE_BLOCK_STATES trades speed only: blocks of 4, 8 and 16 states give the same bits.
+    cm = CuriosityModel(seed=3)
+    rng = np.random.default_rng(11)
+    cm.net.set_parameter_vector(rng.normal(scale=0.3, size=cm.net.theta.size))
+    states = (rng.random((75, 129)) > 0.5).astype(float)
+    for n in range(1, 76):
+        values = []
+        for block in (4, 8, 16):
+            monkeypatch.setattr(curiosity, "VALUE_BLOCK_STATES", block)
+            values.append(cm.values(states[:n]))
+        assert (values[0] > 0).any()
+        assert all(np.array_equal(v, values[0]) for v in values[1:]), n
 
 
 def test_values_of_one_state_is_a_batch_of_one():

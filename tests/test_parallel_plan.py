@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dialogrl.training as training
-from dialogrl.agent import DqnAgent, ReplayBuffer
+from dialogrl.agent import BATCH_SIZE, UPDATE_CHUNK, DqnAgent, ReplayBuffer
 from dialogrl.cli import main
 from dialogrl.curiosity import CuriosityModel
 from dialogrl.curriculum import stage_boundaries
@@ -21,6 +21,9 @@ from dialogrl.nets import blas_thread_control
 from dialogrl.training import (RunConfig, Trainer, load_run_data, run_experiment, write_eval_csv,
                                write_metrics_csv)
 from dialogrl.world import PlanWorker, can_plan_in_parallel
+
+
+LONG_JOBS = {"planning_rounds": 5, "planning_dialogs_per_round": 24}  # curiosity jobs of > UPDATE_CHUNK minibatches
 
 
 def tiny_config(**overrides):
@@ -288,27 +291,50 @@ def curiosity_state(tr):
             tr.rngs["curiosity"].bit_generator.state)
 
 
-@pytest.mark.parametrize("capacity", [5000, 30])  # 30: both buffers evict within an epoch
-def test_curiosity_trains_on_the_worker_as_in_process(data, monkeypatch, capacity):
+@pytest.mark.parametrize("overrides, long_jobs", [
+    pytest.param({"buffer_capacity": 5000}, False, id="5000"),
+    pytest.param({"buffer_capacity": 30}, False, id="30"),  # both buffers evict within an epoch
+    pytest.param({"buffer_capacity": 30, **LONG_JOBS}, True, id="30-long-jobs"),
+])
+def test_curiosity_trains_on_the_worker_as_in_process(data, monkeypatch, overrides, long_jobs):
     kb, goals = data
     finished = counting(monkeypatch, PlanWorker, "finish_training")
-    sent, real_start = [], PlanWorker.start_training
+    samples, sent = {}, []
+    real_sample = CuriosityModel.sample
+    real_start, real_continue = PlanWorker.start_training, PlanWorker.continue_training
+    monkeypatch.setattr(CuriosityModel, "sample",
+                        lambda self, *args: sampled.append(real_sample(self, *args)) or sampled[-1])
     monkeypatch.setattr(PlanWorker, "start_training",
-                        lambda self, rows: sent.append(rows) or real_start(self, rows))
+                        lambda self, rows, more: sent.append([rows]) or real_start(self, rows, more))
+    monkeypatch.setattr(PlanWorker, "continue_training",
+                        lambda self, rows: sent[-1].append(rows) or real_continue(self, rows))
     outs = {}
     for parallel in (False, True):
         monkeypatch.setattr(training, "can_plan_in_parallel", lambda: parallel)
-        tr = Trainer(tiny_config(buffer_capacity=capacity), kb, goals)
+        sampled = samples[parallel] = []  # what ``sample`` returns in this run
+        tr = Trainer(tiny_config(**overrides), kb, goals)
         tr.warm_start()
         losses = [tr.run_epoch(epoch).curiosity_loss for epoch in range(4)]
         outs[parallel] = losses, curiosity_state(tr), tr.epoch_ops
         tr.close()
+    whole_jobs = samples[False]  # one sample per job
     assert len(finished) == 4
-    # each job carries its minibatches' rows, with the states in their stored dtype
-    assert len(sent) == 4
-    for s, a, s_next in sent:
-        assert s.dtype == s_next.dtype == STATE_DTYPE
-        assert len(s) == len(a) == len(s_next) > 0 and len(a) % 16 == 0
+    # In-process, each job is one sample. On the worker, its first message holds the rows
+    # of min(n, UPDATE_CHUNK) minibatches, a second one the rest, and the two concatenate
+    # to the in-process job; the states keep their stored dtype.
+    assert len(sent) == 4 and len(whole_jobs) == 4
+    n_batches = []
+    for parts, job in zip(sent, whole_jobs):
+        n = len(job[1]) // BATCH_SIZE
+        assert len(job[1]) == n * BATCH_SIZE > 0
+        assert len(parts) == (2 if n > UPDATE_CHUNK else 1)
+        assert len(parts[0][1]) == min(n, UPDATE_CHUNK) * BATCH_SIZE
+        for part in parts:
+            assert part[0].dtype == part[2].dtype == STATE_DTYPE
+        for got, want in zip(zip(*parts), job):
+            assert np.array_equal(np.concatenate(got), want)
+        n_batches.append(n)
+    assert any(n > UPDATE_CHUNK for n in n_batches) == long_jobs
     assert outs[True] == outs[False]
     assert outs[True][2][0] == ["collect", "dqn_real", "world", "plan", "dqn_sim", "curiosity", "sync"]
     assert_no_children()
@@ -407,6 +433,28 @@ def test_curiosity_error_on_the_worker_reaches_parent_and_exits_3(tmp_path, data
                                              goals_path=str(tmp_path / "goals.json")).to_json()))
     assert main(["train", "--config", str(config)]) == 3
     assert "forced on the worker" in capsys.readouterr().err
+    assert_no_children()
+
+
+@pytest.mark.parametrize("failing_part", [1, 2])
+def test_curiosity_error_in_either_part_of_a_job_reaches_parent(data, monkeypatch, failing_part):
+    monkeypatch.setattr(training, "can_plan_in_parallel", lambda: True)
+    parent, real_fit, parts = os.getpid(), CuriosityModel.fit, []
+
+    def fit(self, *args):
+        if os.getpid() != parent:
+            parts.append(args)  # the worker's own copy of the list
+            if len(parts) == failing_part:
+                raise NumericError(f"non-finite loss (forced in part {failing_part})")
+        return real_fit(self, *args)
+
+    monkeypatch.setattr(CuriosityModel, "fit", fit)
+    kb, goals = data
+    tr = Trainer(tiny_config(**LONG_JOBS), kb, goals)
+    tr.warm_start()
+    with pytest.raises(NumericError, match=f"forced in part {failing_part}"):
+        tr.run_epoch(0)
+    assert tr._worker is None
     assert_no_children()
 
 
