@@ -31,7 +31,7 @@ from .domain import (
     save_goals,
     save_kb,
 )
-from .env import DialogEnv, RewardConfig, encode_state, render_act
+from .env import DialogEnv, RewardConfig, render_act
 from .errors import AnalysisError, ConfigError, DialogRlError, NumericError, ParseError, make_dir, read_json
 from .seeding import derive_seed, spawn_rng
 from .training import (
@@ -133,12 +133,12 @@ def _show_dialogs(agent, kb, goals, rewards, rng, episodes) -> None:
     env = DialogEnv(kb, rewards=rewards, rng=rng)
     for _ in range(episodes):
         goal = goals[int(rng.integers(len(goals)))]
-        state, first = env.reset(goal)
+        _, first = env.reset(goal)
         print(f"--- goal: requests={[s.label for s in goal.request_slots]} "
               f"informs={{{', '.join(f'{s.label}: {v}' for s, v in goal.inform_slots.items())}}}")
         print(f"usr: {render_act(first)}")
         while not env.done:
-            a = agent.select_action(encode_state(state), rng, epsilon=0.0)
+            a = agent.select_action(env.encoding, rng, epsilon=0.0)
             act = env.realize_agent_action(a)
             outcome = env.step(a)
             print(f"sys: {render_act(act)}")

@@ -27,6 +27,7 @@ import ctypes
 import functools
 import hashlib
 import json
+import mmap
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -243,6 +244,17 @@ class MlpModel:
         self._grad = np.empty_like(self.theta)
         self._grad_views = self._split(self._layer_views(self._grad))
         self._tmp = np.empty_like(self.theta)
+
+    def share(self) -> None:
+        """Move ``theta`` and ``acc`` into anonymous shared memory, so that a
+        process forked after this call reads and writes this net's copy of
+        them; the training step's scratch stays private."""
+        theta, acc = self.theta, self.acc
+        mem = mmap.mmap(-1, theta.nbytes + acc.nbytes)
+        self.theta = np.frombuffer(mem, theta.dtype, theta.size)
+        self.acc = np.frombuffer(mem, acc.dtype, acc.size, offset=theta.nbytes)
+        self.theta[:], self.acc[:] = theta, acc
+        self._bind_views()
 
     def __getstate__(self):
         # The flat vectors only: pickled views would come back as copies

@@ -17,13 +17,12 @@ in full after a dialog's reset.
 With at least two planning rollouts per epoch and two CPUs, a Trainer forks
 one worker process at its first planning call, which plays the second half
 of every ``plan`` call's rollouts (see ``world.PlanWorker``). For C-DDQ and
-SC-DDQ this process then samples the epoch's curiosity minibatches from its
-replay buffers and sends them to the worker, which trains the curiosity net
-on them while this process runs the ``dqn_sim`` update; the two share no
-state. The first UPDATE_CHUNK minibatches go first, so the worker fits them
-while this process samples and sends the rest. Run outputs do not depend
-on the worker. ``close`` (called at the end of ``run``, on errors, and when
-the Trainer is collected) ends it; a pickled Trainer leaves it behind.
+SC-DDQ the worker then trains the curiosity net, on minibatches this
+process samples from its replay buffers, while this process runs the
+``dqn_sim`` update. The worker works on this process's nets, in shared
+memory. Run outputs do not depend on the worker. ``close`` (called at the
+end of ``run``, on errors, and when the Trainer is collected) ends it; a
+pickled Trainer leaves it behind.
 
 An epoch holds OpenBLAS to one thread (``nets.one_blas_thread``), so its
 spinning helper thread does not take the worker's CPU; the worker, forked
@@ -45,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import UPDATE_CHUNK, DqnAgent, Experience, ReplayBuffer, stack_rows
+from .agent import DqnAgent, Experience, ReplayBuffer, stack_rows
 from .curiosity import CuriosityModel
 from .curriculum import (
     ALL,
@@ -68,7 +67,7 @@ from .domain import (
     load_goals,
     load_kb,
 )
-from .env import DialogEnv, RewardConfig, RuleAgent, encode_state
+from .env import DialogEnv, RewardConfig, RuleAgent
 from .errors import ConfigError, make_dir, read_json
 from .nets import one_blas_thread
 from .seeding import spawn_rng
@@ -184,6 +183,8 @@ class RunConfig:
                 if not isinstance(v, int) or isinstance(v, bool) or not str(k).isdecimal():
                     raise ConfigError(f"goal_counts: expected request-slot count -> goal count "
                                       f"integers, got {k!r}: {v!r}")
+                if int(k) in counts:
+                    raise ConfigError(f"goal_counts: request-slot count {int(k)} is given twice")
                 counts[int(k)] = v
             data["goal_counts"] = counts
         for name, levels in data.get("custom_schedules", {}).items():
@@ -234,7 +235,8 @@ def evaluate_policy(select_action, kb: KnowledgeBase, roster: ActionRoster,
                     level: str = ALL) -> EvalReport:
     """Run n greedy episodes; reports success rate and mean speaker turns.
 
-    ``select_action(state_vector, rng) -> action index``. Turns count both
+    ``select_action(state_vector, rng) -> action index``, given the env's
+    stored ``encoding`` of the state. Turns count both
     sides of the conversation (two per agent action).
     """
     env = DialogEnv(kb, roster, rewards, rng=rng)
@@ -242,10 +244,10 @@ def evaluate_policy(select_action, kb: KnowledgeBase, roster: ActionRoster,
     turns = []
     for _ in range(n_episodes):
         goal = goals[int(rng.integers(len(goals)))]
-        state, _ = env.reset(goal)
+        env.reset(goal)
         agent_turns = 0
         while not env.done:
-            a = select_action(encode_state(state), rng)
+            a = select_action(env.encoding, rng)
             env.step(a)
             agent_turns += 1
         wins += 1 if env.success else 0
@@ -455,7 +457,7 @@ class Trainer:
             self.close()  # the worker may be mid-job: kill it
             raise
         if self.curiosity is not None and log.isEnabledFor(logging.DEBUG):
-            mean_c = float(np.mean(self.curiosity.values(encode_state(envs[-1].state))))
+            mean_c = float(np.mean(self.curiosity.values(envs[-1].encoding)))
             log.debug("epoch %d: mean curiosity %.4f", epoch, mean_c)
 
         with op("sync"):
@@ -509,9 +511,8 @@ class Trainer:
         finishes it and returns its loss.
 
         If there is a planning worker, this process samples the minibatches
-        now and the worker fits the net to them while this process goes on:
-        the first UPDATE_CHUNK go out alone, so the worker fits them while
-        this process samples the rest (two ``sample`` calls make the same
+        now and the worker fits the net to them while this process goes on
+        (``PlanWorker.start_training``; two ``sample`` calls make the same
         rng draws as one). The callable adds the time it waits for the
         worker to ``times["curiosity_wait"]``. Otherwise both run here,
         when the callable is called.
@@ -519,10 +520,8 @@ class Trainer:
         buffers, rng = (self.real_buffer, self.sim_buffer), self.rngs["curiosity"]
         if self._worker is None:
             return partial(self.curiosity.train, *buffers, n_batches, rng)
-        first = min(n_batches, UPDATE_CHUNK)  # warm_start filled real_buffer, so sample gives rows
-        self._worker.start_training(self.curiosity.sample(*buffers, first, rng), first < n_batches)
-        if first < n_batches:
-            self._worker.continue_training(self.curiosity.sample(*buffers, n_batches - first, rng))
+        # warm_start filled real_buffer, so sample gives rows
+        self._worker.start_training(lambda k: self.curiosity.sample(*buffers, k, rng), n_batches)
 
         def finish():
             with _timed(times, "curiosity_wait"):

@@ -39,11 +39,9 @@ For the curiosity methods the worker also trains the curiosity net while
 the caller runs the Q-net's update on simulated experience. Each such job
 carries its own minibatches: the caller draws them from its replay buffers
 (``CuriosityModel.sample``) and sends their rows, with the states in the
-float16 the buffers store, and the worker only fits them. A job of more
-than UPDATE_CHUNK minibatches comes in two messages, the first chunk's rows
-and then the rest, so the worker fits the first while the caller draws the
-rest. The worker holds no replay data, so the caller's buffers are the
-only ones.
+float16 the buffers store, and the worker only fits them. The worker holds
+no replay data and no nets of its own: it works on the caller's nets, in
+shared memory, so only seeds, blocks and rows cross its pipes.
 """
 
 from __future__ import annotations
@@ -59,7 +57,8 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .agent import DqnAgent, Experience, ReplayBuffer, minibatch_rows, stack_rows, train_on_replay
+from .agent import (UPDATE_CHUNK, DqnAgent, Experience, ReplayBuffer, minibatch_rows, stack_rows,
+                    train_on_replay)
 from .domain import ActionRoster, Intent, KnowledgeBase, Slot
 from .env import (AGENT_INFORMED, AGENT_INTENT, AGENT_REQUESTED, KB_BUCKET, KB_BUCKETS, MAX_TURN_BUCKETS,
                   N_SLOTS, OUTSTANDING, TURN_BUCKET, USER_INFORMED, USER_INTENT, DialogEnv, RewardConfig,
@@ -326,27 +325,28 @@ class PlanWorker:
     """A forked process that plays batches of planning rollouts on request
     and, for the curiosity methods, trains the curiosity net.
 
-    ``play(job, seeds) -> blocks`` runs in the worker, on the worker's copy
-    of ``nets`` (forked with them); each batch first sends every net's
-    ``theta``, as raw bytes of the net's own dtype, so the worker plays
-    with the parent's current weights. The worker plays the whole batch,
-    then pickles its blocks one by one, as ``play_round`` yields them,
-    followed by an end marker, the seconds it took to play them; the
-    parent loads them as ``plan`` stores the batch through
-    ``experiences``, as it does for the half it plays itself.
+    The worker and its parent work on one copy of each of ``nets``: their
+    weights and RMSProp state move into shared memory before the fork
+    (``MlpModel.share``), so no weights cross the pipes. While a job runs,
+    the parent reads no net that the worker writes and writes none that it
+    reads: a batch of rollouts only reads the nets, and a curiosity job
+    writes only the curiosity net, which the parent next reads after the
+    job's reply.
 
-    Given ``curiosity``, ``start_training(rows, more)`` sends the rows that
-    ``CuriosityModel.sample`` drew in the parent, and the worker fits its
-    copy of the curiosity net to them (``CuriosityModel.fit``) while the
-    parent goes on. With ``more``, ``continue_training(rows)`` sends the
-    job's other rows, which a thread in the worker reads while the first
-    ones are fitted, so the parent's send does not wait for that fit; the
-    worker fits them next, and the job's loss is the mean over the steps of
-    both. ``finish_training`` copies the trained net (weights and RMSProp
-    state in the net's dtype, float32 for the curiosity net) and its step
-    count back: the same steps, to the bit, as fitting the rows in the
-    parent. The worker's copy is the one that trained last, as every
-    curiosity job after the fork runs on the worker.
+    ``play(job, seeds) -> blocks`` runs in the worker. It plays the whole
+    batch, then pickles its blocks one by one, followed by an end marker,
+    the seconds it took to play them; the parent loads them as ``plan``
+    stores the batch through ``experiences``.
+
+    Given ``curiosity``, ``start_training(sample, n_batches)`` has the
+    worker fit the curiosity net (``CuriosityModel.fit``) to ``n_batches``
+    minibatches that ``sample`` draws in the parent, while the parent goes
+    on. The rows of the first min(n_batches, UPDATE_CHUNK) go out alone,
+    then the rest, which a thread in the worker reads while it fits the
+    first. ``finish_training`` returns the job's mean loss and sets the
+    net's step count: the same steps, to the bit, as fitting the rows in
+    the parent. After an error mid-job, the parent's curiosity net holds
+    the steps the worker took.
 
     ``busy_s`` adds up, per job kind ("plan" and "curiosity"), the seconds
     the worker spent on the jobs whose replies were read, as the worker
@@ -355,12 +355,14 @@ class PlanWorker:
 
     The worker exits on EOF of its command pipe. An error in a job is sent
     back, re-raised in the parent as the job's reply is read, and ends the
-    worker; after any error the owner calls ``close``, which kills a worker
-    still busy.
+    worker; a worker that died is reported as a ``ChildProcessError``.
+    After any error the owner calls ``close``, which kills a worker still
+    busy.
     """
 
     def __init__(self, nets: list[MlpModel], play, curiosity=None):
-        self._nets = nets
+        for net in nets:
+            net.share()
         self._curiosity = curiosity
         self._busy = False  # a job was started and its reply not yet read
         self.busy_s: dict[str, float] = {}
@@ -371,7 +373,7 @@ class PlanWorker:
             try:
                 gc.freeze()  # objects forked from the parent are never collected here
                 _close_fds_except(0, 1, 2, cmd_r, res_w)
-                _serve(open(cmd_r, "rb"), open(res_w, "wb"), nets, play, curiosity)
+                _serve(open(cmd_r, "rb"), open(res_w, "wb"), play, curiosity)
             finally:
                 os._exit(0)
         os.close(cmd_r)
@@ -383,10 +385,7 @@ class PlanWorker:
         """Start one batch of rollouts, one per seed; returns its blocks for
         ``plan``, read as they are iterated."""
         self._busy = True
-        pickle.dump(("plan", job, seeds), self._cmd)
-        for net in self._nets:
-            self._cmd.write(net.theta)
-        self._cmd.flush()
+        self._send(("plan", job, seeds))
         return self._receive()
 
     def _receive(self) -> Iterator:
@@ -396,30 +395,26 @@ class PlanWorker:
         self._busy = False
         self.busy_s["plan"] = self.busy_s.get("plan", 0.0) + block
 
-    def start_training(self, rows, more: bool) -> None:
-        """Start fitting the curiosity net to ``rows``, ``CuriosityModel.sample``'s
-        ``(s, a, s_next)``. With ``more``, the job's other rows follow in one
-        ``continue_training`` call, and the worker fits these meanwhile."""
+    def start_training(self, sample, n_batches: int) -> None:
+        """Start fitting the curiosity net to ``n_batches`` minibatches;
+        ``sample(k)`` draws the rows of ``k`` of them, as
+        ``CuriosityModel.sample``'s ``(s, a, s_next)``."""
         self._busy = True
-        self._send(("train", more, *rows))
-
-    def continue_training(self, rows) -> None:
-        """Send the rest of the started job's rows, to be fitted after the first."""
-        self._send(rows)
+        first = min(n_batches, UPDATE_CHUNK)
+        self._send(("train", first < n_batches, *sample(first)))
+        if first < n_batches:
+            self._send(sample(n_batches - first))
 
     def _send(self, msg) -> None:
-        with contextlib.suppress(BrokenPipeError):  # the worker failed: ``finish_training`` says why
+        with contextlib.suppress(BrokenPipeError):  # the worker ended: reading its reply says how
             pickle.dump(msg, self._cmd, pickle.HIGHEST_PROTOCOL)
             self._cmd.flush()
 
     def finish_training(self) -> float:
-        """The started training's loss. The curiosity net's weights, RMSProp
-        state and step count become the worker's."""
+        """The started training's loss; the curiosity net's step count
+        becomes the worker's."""
         loss, step_count, seconds = self._load()
-        net = self._curiosity.net
-        _read_array(self._res, net.theta)
-        _read_array(self._res, net.acc)
-        net.step_count = step_count
+        self._curiosity.net.step_count = step_count
         self._busy = False
         self.busy_s["curiosity"] = self.busy_s.get("curiosity", 0.0) + seconds
         return loss
@@ -448,13 +443,6 @@ class PlanWorker:
         self.pid = None
 
 
-def _read_array(pipe, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with its size in bytes from ``pipe``."""
-    if out.nbytes and pipe.readinto(memoryview(out).cast("B")) != out.nbytes:
-        raise EOFError("pipe closed mid-array")
-    return out
-
-
 def _close_fds_except(*keep: int) -> None:
     """Close every open fd but ``keep``, so this process holds no other pipe open."""
     lo = 0
@@ -464,11 +452,11 @@ def _close_fds_except(*keep: int) -> None:
         lo = fd + 1
 
 
-def _serve(cmd, res, nets: list[MlpModel], play, curiosity) -> None:
+def _serve(cmd, res, play, curiosity) -> None:
     """The worker's loop, one job per command: play a batch and send its
     blocks and the end marker, or fit the curiosity net to the sent rows,
-    in one part or two, and send its state. An error is sent back and ends
-    the loop."""
+    in one part or two, and send its loss, step count and seconds. An error
+    is sent back and ends the loop."""
     while True:
         try:
             kind, *args = pickle.load(cmd)
@@ -477,8 +465,6 @@ def _serve(cmd, res, nets: list[MlpModel], play, curiosity) -> None:
         try:
             if kind == "plan":
                 job, seeds = args
-                for net in nets:
-                    _read_array(cmd, net.theta)
                 started = time.perf_counter()
                 blocks = list(play(job, seeds))
                 for block in blocks + [time.perf_counter() - started]:
@@ -497,11 +483,8 @@ def _serve(cmd, res, nets: list[MlpModel], play, curiosity) -> None:
                         started = time.perf_counter()
                         losses += curiosity.fit(*rows)
                         seconds += time.perf_counter() - started
-                net = curiosity.net
-                pickle.dump((float(np.mean(losses)), net.step_count, seconds), res,
+                pickle.dump((float(np.mean(losses)), curiosity.net.step_count, seconds), res,
                             pickle.HIGHEST_PROTOCOL)
-                res.write(net.theta)
-                res.write(net.acc)
         except Exception as exc:
             try:
                 payload = pickle.dumps(exc)

@@ -18,6 +18,12 @@ from dialogrl.errors import AnalysisError
 from dialogrl.training import RunConfig, run_experiment
 
 
+def read_rows(path, reader=csv.reader):
+    """Every row of a CSV file, through ``reader`` (``csv.reader`` or ``csv.DictReader``)."""
+    with open(path) as fh:
+        return list(reader(fh))
+
+
 def test_action_distribution_normalizes():
     dist = action_distribution(np.full(29, 3.0))
     assert not dist.empty
@@ -156,15 +162,15 @@ def test_build_report_full_grid(tmp_path):
         synth_run(runs, method, schedule, 1, rng.uniform(0.3, 0.9, size=4), 2)
     out = tmp_path / "report"
     paths = build_report(runs, out)
-    table4 = list(csv.reader(open(paths["table4"])))
+    table4 = read_rows(paths["table4"])
     assert len(table4) == 1 + 15  # header + all 15 conditions
     assert table4[1][:3] == ["Random", "DQN", "-"]
     assert table4[4][:3] == ["EFS", "S-DDQ", "EMD"]
-    corr = list(csv.DictReader(open(paths["correlation"])))
+    corr = read_rows(paths["correlation"], csv.DictReader)
     assert len(corr) == 4
     assert all(int(row["n"]) == 15 for row in corr)
     assert all(-1.0 <= float(row["r"]) <= 1.0 for row in corr if row["r"])
-    table6 = list(csv.reader(open(paths["table6"])))
+    table6 = read_rows(paths["table6"])
     for row in table6[1:]:
         for cell in row[3:]:
             if cell:
@@ -176,7 +182,7 @@ def test_build_report_averages_same_condition_seeds(tmp_path):
     synth_run(runs, "DDQ", "RANDOM", 1, [0.2, 0.4, 0.6, 0.8], 2)
     synth_run(runs, "DDQ", "RANDOM", 2, [0.4, 0.6, 0.8, 1.0], 2)
     paths = build_report(runs, tmp_path / "report")
-    table4 = list(csv.reader(open(paths["table4"])))
+    table4 = read_rows(paths["table4"])
     assert table4[1][3:] == ["0.30", "0.50", "0.70", "0.90"]
 
 
@@ -188,7 +194,7 @@ def test_build_report_groups_curiosity_dfs(tmp_path):
         synth_run(runs, "SC-DDQ", schedule, 1, success, 2)
         values[schedule] = success
     paths = build_report(runs, tmp_path / "report")
-    rows = [r for r in csv.DictReader(open(paths["success_curves"])) if r["group"] == "curiosity_DFS"]
+    rows = [r for r in read_rows(paths["success_curves"], csv.DictReader) if r["group"] == "curiosity_DFS"]
     assert len(rows) == 4
     for row in rows:
         stage = int(row["stage"])
@@ -200,7 +206,7 @@ def test_build_report_single_run_correlation_undefined(tmp_path):
     runs = tmp_path / "runs"
     synth_run(runs, "DDQ", "RANDOM", 1, [0.2, 0.4, 0.6, 0.8], 2)
     paths = build_report(runs, tmp_path / "report")
-    corr = list(csv.DictReader(open(paths["correlation"])))
+    corr = read_rows(paths["correlation"], csv.DictReader)
     assert all(row["r"] == "" and int(row["n"]) == 1 for row in corr)
 
 
@@ -216,7 +222,7 @@ def test_report_names_skipped_run_dirs(tmp_path, capsys):
     assert f"skipped {runs / 'DQN_RANDOM_2'}: no config.json" in err
     assert "DDQ_RANDOM_1" not in err
     assert [r.run_id for r in discover_runs(runs)] == ["DDQ_RANDOM_1"]
-    table4 = list(csv.reader(open(tmp_path / "report" / "table4.csv")))
+    table4 = read_rows(tmp_path / "report" / "table4.csv")
     assert [row[1] for row in table4[1:]] == ["DDQ"]
 
 
@@ -228,7 +234,7 @@ def test_build_report_timings_sum_epochs_per_run(tmp_path):
         '{"epoch": 0, "collect": 0.5, "plan": 1.0, "total": 2.0}\n'
         '{"epoch": 1, "collect": 1.5, "plan": 2.0, "curiosity_wait": 0.25, "total": 6.0}\n')
     paths = build_report(runs, tmp_path / "report")
-    rows = [tuple(row) for row in csv.reader(open(paths["timings"]))]
+    rows = [tuple(row) for row in read_rows(paths["timings"])]
     assert rows == [("run_id", "op", "seconds", "share"),
                     ("DDQ_RANDOM_1", "collect", "2.000000", "0.2500"),
                     ("DDQ_RANDOM_1", "plan", "3.000000", "0.3750"),
@@ -274,11 +280,12 @@ def test_report_consumes_real_run_output(tmp_path):
     runs = discover_runs(tmp_path / "runs")
     assert len(runs) == 1
     assert runs[0].run_id == "DDQ_RANDOM_3"
-    table4 = list(csv.reader(open(paths["table4"])))
+    table4 = read_rows(paths["table4"])
     assert len(table4) == 2
     # timings.csv sums run_experiment's timings.jsonl: one row per timed op, each a share of the total
-    epochs = [json.loads(line) for line in open(tmp_path / "runs" / "DDQ_RANDOM_3.timings.jsonl")]
-    timings = list(csv.DictReader(open(paths["timings"])))
+    with open(tmp_path / "runs" / "DDQ_RANDOM_3.timings.jsonl") as fh:
+        epochs = [json.loads(line) for line in fh]
+    timings = read_rows(paths["timings"], csv.DictReader)
     assert {row["run_id"] for row in timings} == {"DDQ_RANDOM_3"}
     assert [row["op"] for row in timings] == list(dict.fromkeys(k for e in epochs for k in e if k != "epoch"))
     seconds = {row["op"]: float(row["seconds"]) for row in timings}

@@ -86,6 +86,15 @@ def test_gen_data_repeated_request_slot_count_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_repeated_goal_counts_key_exit_2(tmp_path, capsys):
+    # "1" and "01" name the same request-slot count; neither count may silently win
+    kb_path, goals_path = make_data(tmp_path)
+    config = tiny_train_config(tmp_path, kb_path, goals_path, goal_counts={"1": 61, "01": 16})
+    rc = main(["train", "--config", str(config)])
+    assert_usage_error(capsys, rc, "goal_counts", "count 1 is given twice")
+    assert not (tmp_path / "runs").exists()
+
+
 def test_gen_data_out_dir_under_a_file_exit_2(tmp_path, capsys):
     kb_path, _ = make_data(tmp_path)
     out = kb_path / "x"

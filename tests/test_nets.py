@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -232,6 +233,30 @@ def test_layer_views_share_the_flat_vectors_after_pickling():
     assert np.shares_memory(w, model.theta) and np.shares_memory(b, model.theta)
     assert np.shares_memory(model.head_acc["bin"][0][0], model.acc)
     assert np.array_equal(model.parameter_vector()[:w.size], w.ravel())
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_shared_net_is_trained_by_a_forked_process_in_place():
+    spec_info = random_multihead_spec(np.random.default_rng(15))
+    batch = random_batch_for(spec_info, np.random.default_rng(16))
+    model, twin = (mlp_new(spec_info[0], seed=6, dtype=np.float32) for _ in range(2))
+    model.share()
+    assert model.theta.tobytes() == twin.theta.tobytes() and model.acc.dtype == np.float32
+    pid = os.fork()
+    if pid == 0:  # the child's step writes the parent's weights and accumulators
+        code = 1
+        try:
+            model.train_minibatch(batch, learning_rate=0.01)
+            code = 0
+        finally:
+            os._exit(code)
+    assert os.waitpid(pid, 0)[1] == 0
+    twin.train_minibatch(batch, learning_rate=0.01)
+    assert model.theta.tobytes() == twin.theta.tobytes()
+    assert model.acc.tobytes() == twin.acc.tobytes()
+    assert np.shares_memory(model.shared_params[0][0], model.theta)
+    assert np.shares_memory(model.head_acc["bin"][0][0], model.acc)
+    assert not np.shares_memory(model._grad, model.theta)  # the step's scratch stays private
 
 
 def test_non_finite_loss_raises():

@@ -273,6 +273,97 @@ def test_closing_one_trainer_ends_its_worker_only(data, monkeypatch):
     assert_no_children()
 
 
+@pytest.mark.parametrize("method, schedule", [("DDQ", "RANDOM"), ("SC-DDQ", "EMD")])
+def test_worker_that_died_between_epochs_is_reported_and_reaped(data, monkeypatch, method, schedule):
+    # as if the OOM killer took the idle worker: the next job's send finds no reader
+    monkeypatch.setattr(training, "can_plan_in_parallel", lambda: True)
+    kb, goals = data
+    tr = Trainer(tiny_config(method=method, schedule=schedule), kb, goals)
+    tr.warm_start()
+    tr.run_epoch(0)
+    pid = tr._worker.pid
+    os.kill(pid, signal.SIGKILL)
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, but left for ``close`` to reap
+    with pytest.raises(ChildProcessError, match=f"^planning worker {pid} ended unexpectedly$"):
+        tr.run_epoch(1)
+    assert tr._worker is None
+    assert_no_children()
+
+
+class CountingPipe:
+    """A pipe's file object that counts the bytes written to it or read from it."""
+
+    def __init__(self, pipe):
+        self.pipe, self.count = pipe, 0
+
+    def write(self, data):
+        self.count += memoryview(data).nbytes
+        return self.pipe.write(data)
+
+    def read(self, *size):
+        data = self.pipe.read(*size)
+        self.count += len(data)
+        return data
+
+    def readline(self, *size):
+        data = self.pipe.readline(*size)
+        self.count += len(data)
+        return data
+
+    def readinto(self, buffer):
+        n = self.pipe.readinto(buffer)
+        self.count += n
+        return n
+
+    def __getattr__(self, name):  # peek, flush, close: peeked bytes are not read
+        return getattr(self.pipe, name)
+
+
+def counting_pipes(monkeypatch):
+    """Wrap the pipes of every PlanWorker started from now on in CountingPipes."""
+    real_init = PlanWorker.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)  # the forked worker never returns from it
+        self._cmd, self._res = CountingPipe(self._cmd), CountingPipe(self._res)
+
+    monkeypatch.setattr(PlanWorker, "__init__", init)
+
+
+def test_no_weights_cross_the_pipes(data, monkeypatch):
+    monkeypatch.setattr(training, "can_plan_in_parallel", lambda: True)
+    counting_pipes(monkeypatch)
+    kb, goals = data
+    # DDQ: a plan job is its seeds, where the nets' weights alone are over 200 KB
+    tr = Trainer(tiny_config(method="DDQ", schedule="RANDOM"), kb, goals)
+    assert sum(net.theta.nbytes for net in (tr.agent.q_net, tr.world_model.net)) > 200_000
+    tr.warm_start()
+    for epoch in range(2):
+        before = tr._worker._cmd.count if tr._worker is not None else 0
+        tr.run_epoch(epoch)
+        assert 0 < tr._worker._cmd.count - before < 4096
+    tr.close()
+    # SC-DDQ: a curiosity job's reply is its loss, step count and seconds, and nothing follows it
+    tr = Trainer(tiny_config(), kb, goals)
+    real_finish, replies = PlanWorker.finish_training, []
+
+    def finish(self):
+        before = self._res.count
+        loss = real_finish(self)
+        reply = (loss, tr.curiosity.net.step_count, 0.0)  # every float pickles to 9 bytes
+        replies.append((self._res.count - before, len(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))))
+        return loss
+
+    monkeypatch.setattr(PlanWorker, "finish_training", finish)
+    tr.warm_start()
+    for epoch in range(2):
+        tr.run_epoch(epoch)
+    tr.close()
+    assert len(replies) == 2
+    assert all(read == size for read, size in replies)
+    assert_no_children()
+
+
 def counting(monkeypatch, owner, name):
     """Record ``self.pid`` at each call of ``owner.name``, which then runs as usual."""
     calls, real = [], getattr(owner, name)
@@ -300,14 +391,18 @@ def test_curiosity_trains_on_the_worker_as_in_process(data, monkeypatch, overrid
     kb, goals = data
     finished = counting(monkeypatch, PlanWorker, "finish_training")
     samples, sent = {}, []
-    real_sample = CuriosityModel.sample
-    real_start, real_continue = PlanWorker.start_training, PlanWorker.continue_training
+    real_sample, real_send = CuriosityModel.sample, PlanWorker._send
     monkeypatch.setattr(CuriosityModel, "sample",
                         lambda self, *args: sampled.append(real_sample(self, *args)) or sampled[-1])
-    monkeypatch.setattr(PlanWorker, "start_training",
-                        lambda self, rows, more: sent.append([rows]) or real_start(self, rows, more))
-    monkeypatch.setattr(PlanWorker, "continue_training",
-                        lambda self, rows: sent[-1].append(rows) or real_continue(self, rows))
+
+    def send(self, msg):  # a job's rows: a ("train", more, *rows) message, then maybe the rest's rows
+        if not isinstance(msg[0], str):
+            sent[-1].append(msg)
+        elif msg[0] == "train":
+            sent.append([msg[2:]])
+        return real_send(self, msg)
+
+    monkeypatch.setattr(PlanWorker, "_send", send)
     outs = {}
     for parallel in (False, True):
         monkeypatch.setattr(training, "can_plan_in_parallel", lambda: parallel)

@@ -142,6 +142,12 @@ def test_config_rejects_negative_goal_counts():
         RunConfig(goal_counts={2: -5}).validate()
 
 
+@pytest.mark.parametrize("counts", [{"1": 61, "01": 16}, {"01": 16, "1": 61}, {"4": 1, "004": 1}])
+def test_config_rejects_a_request_slot_count_named_twice(counts):
+    with pytest.raises(ConfigError, match="goal_counts: request-slot count [14] is given twice"):
+        RunConfig.from_json({"goal_counts": counts})
+
+
 def test_warm_start_bounds_and_determinism(data):
     kb, goals = data
     snapshots = []
